@@ -3,9 +3,10 @@
 Each invocation prints a single JSON report with stable key order: the echoed
 command, a digest of the inputs, the certificate payload, and a verified flag
 that is recomputed from the payload right before emission. Exit status is 0
-only when the certificate verifies; malformed input exits 2, a failed
-verification or an inapplicable construction exits 1. Divergence evidence in
-any report names the fuel bound it was observed at.
+only when the certificate verifies; malformed input, negative fuel and input
+that nests too deeply exit 2; a failed verification or an inapplicable
+construction exits 1. Divergence evidence in any report names the fuel bound
+it was observed at.
 """
 
 from __future__ import annotations
@@ -497,6 +498,10 @@ def run_command(argv: list[str]) -> int:
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the readers, codings and printers recurse once per nesting level
+        print("error: input nests too deeply", file=sys.stderr)
+        return 2
 
     report = {
         "command": " ".join(argv),

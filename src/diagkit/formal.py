@@ -27,11 +27,10 @@ natural number decodes to a formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Any, Optional, Union
 
-from . import sexpr
+from . import syntax
 from .errors import InputError
-from .universe import pair, unpair
 
 Term = Union["Var", "Num", "Diag", "Neg"]
 Formula = Union[
@@ -131,7 +130,6 @@ SYMBOLS: dict[str, tuple[int, int]] = {
     "Q": (4, 1),
     "R": (5, 2),
 }
-_SYMBOL_NAMES = {code: name for name, (code, _) in SYMBOLS.items()}
 
 VAR_NAMES = ("x", "y", "z", "w", "u", "v", "m", "n")
 X, Y, Z, W, U, V, M, N = range(8)
@@ -149,176 +147,80 @@ def var_code(name: str) -> Optional[int]:
     return None
 
 
-_T_VAR, _T_NUM, _T_DIAG, _T_NEG = range(4)
-(
-    _F_PRED,
-    _F_LESS,
-    _F_NOT,
-    _F_AND,
-    _F_OR,
-    _F_IMP,
-    _F_IFF,
-    _F_FORALL,
-    _F_EXISTS,
-    _F_UNQUOTE,
-) = range(10)
+def _unknown_term(text: str, pos: int) -> str:
+    return f"unknown symbol {text!r} at offset {pos} (expected a term)"
+
+
+_VAR = syntax.Scalar(var_name, var_code)
+TERMS = syntax.Sort("term", atom_error=_unknown_term, head_error=_unknown_term)
+TERMS.declare(
+    (Var, None, [_VAR]),
+    (Num, None, [syntax.NAT]),
+    (Diag, "diag", [TERMS]),
+    (Neg, "neg", [TERMS]),
+)
+FORMULAS = syntax.Sort(
+    "formula",
+    atom_error=lambda text, pos: f"expected a formula at offset {pos}, found atom {text!r}",
+    head_error=lambda word, pos: f"unknown symbol {word!r} at offset {pos}",
+)
+FORMULAS.declare(
+    (Pred, SYMBOLS, [syntax.NAT, syntax.Many(TERMS)]),
+    (Less, "<", [TERMS, TERMS]),
+    (Not, "not", [FORMULAS]),
+    (And, "and", [FORMULAS, FORMULAS]),
+    (Or, "or", [FORMULAS, FORMULAS]),
+    (Imp, "imp", [FORMULAS, FORMULAS]),
+    (Iff, "iff", [FORMULAS, FORMULAS]),
+    (ForAll, "forall", [_VAR, FORMULAS]),
+    (Exists, "exists", [_VAR, FORMULAS]),
+    (Unquote, "unq", [TERMS]),
+)
 
 
 def term_number(t: Term) -> int:
-    match t:
-        case Var(code):
-            return 4 * code + _T_VAR
-        case Num(value):
-            return 4 * value + _T_NUM
-        case Diag(arg):
-            return 4 * term_number(arg) + _T_DIAG
-        case Neg(arg):
-            return 4 * term_number(arg) + _T_NEG
-    raise TypeError(f"not a term: {t!r}")
+    return TERMS.number(t)
 
 
 def term_of(n: int) -> Term:
-    tag, payload = n % 4, n // 4
-    if tag == _T_VAR:
-        return Var(payload)
-    if tag == _T_NUM:
-        return Num(payload)
-    if tag == _T_DIAG:
-        return Diag(term_of(payload))
-    return Neg(term_of(payload))
-
-
-def _list_number(codes: list[int]) -> int:
-    out = 0
-    for code in reversed(codes):
-        out = pair(code, out) + 1
-    return out
-
-
-def _list_of(n: int) -> list[int]:
-    out = []
-    while n != 0:
-        head, n = unpair(n - 1)
-        out.append(head)
-    return out
+    return TERMS.denumber(n)
 
 
 def goedel_number(phi: Formula) -> int:
     """Number of a formula under the fixed tagged-pairing scheme."""
-    match phi:
-        case Pred(symbol, args):
-            payload = pair(symbol, _list_number([term_number(t) for t in args]))
-            return 10 * payload + _F_PRED
-        case Less(left, right):
-            return 10 * pair(term_number(left), term_number(right)) + _F_LESS
-        case Not(body):
-            return 10 * goedel_number(body) + _F_NOT
-        case And(left, right):
-            return 10 * pair(goedel_number(left), goedel_number(right)) + _F_AND
-        case Or(left, right):
-            return 10 * pair(goedel_number(left), goedel_number(right)) + _F_OR
-        case Imp(left, right):
-            return 10 * pair(goedel_number(left), goedel_number(right)) + _F_IMP
-        case Iff(left, right):
-            return 10 * pair(goedel_number(left), goedel_number(right)) + _F_IFF
-        case ForAll(var, body):
-            return 10 * pair(var, goedel_number(body)) + _F_FORALL
-        case Exists(var, body):
-            return 10 * pair(var, goedel_number(body)) + _F_EXISTS
-        case Unquote(arg):
-            return 10 * term_number(arg) + _F_UNQUOTE
-    raise TypeError(f"not a formula: {phi!r}")
+    return FORMULAS.number(phi)
 
 
 def formula_of(n: int) -> Formula:
     """Total inverse of `goedel_number`: every natural spells a formula."""
-    tag, payload = n % 10, n // 10
-    if tag == _F_PRED:
-        symbol, rest = unpair(payload)
-        return Pred(symbol, tuple(term_of(c) for c in _list_of(rest)))
-    if tag == _F_LESS:
-        a, b = unpair(payload)
-        return Less(term_of(a), term_of(b))
-    if tag == _F_NOT:
-        return Not(formula_of(payload))
-    if tag in (_F_AND, _F_OR, _F_IMP, _F_IFF):
-        a, b = unpair(payload)
-        ctor = {_F_AND: And, _F_OR: Or, _F_IMP: Imp, _F_IFF: Iff}[tag]
-        return ctor(formula_of(a), formula_of(b))
-    if tag in (_F_FORALL, _F_EXISTS):
-        var, body = unpair(payload)
-        ctor = ForAll if tag == _F_FORALL else Exists
-        return ctor(var, formula_of(body))
-    return Unquote(term_of(payload))
+    return FORMULAS.denumber(n)
 
 
 def term_vars(t: Term) -> frozenset[int]:
-    match t:
-        case Var(code):
-            return frozenset((code,))
-        case Num(_):
-            return frozenset()
-        case Diag(arg) | Neg(arg):
-            return term_vars(arg)
-    raise TypeError(f"not a term: {t!r}")
+    return free_vars(t)
 
 
 def free_vars(phi: Formula) -> frozenset[int]:
-    match phi:
-        case Pred(_, args):
-            out: frozenset[int] = frozenset()
-            for t in args:
-                out |= term_vars(t)
-            return out
-        case Less(left, right):
-            return term_vars(left) | term_vars(right)
-        case Not(body):
-            return free_vars(body)
-        case And(left, right) | Or(left, right) | Imp(left, right) | Iff(left, right):
-            return free_vars(left) | free_vars(right)
-        case ForAll(var, body) | Exists(var, body):
-            return free_vars(body) - {var}
-        case Unquote(arg):
-            return term_vars(arg)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _subst_term(t: Term, v: int, r: Term) -> Term:
-    match t:
-        case Var(code):
-            return r if code == v else t
-        case Num(_):
-            return t
-        case Diag(arg):
-            return Diag(_subst_term(arg, v, r))
-        case Neg(arg):
-            return Neg(_subst_term(arg, v, r))
-    raise TypeError(f"not a term: {t!r}")
+    """The free variables of a formula or a term."""
+    if isinstance(phi, Var):
+        return frozenset((phi.code,))
+    out: frozenset[int] = frozenset()
+    for child in syntax.children(phi):
+        out |= free_vars(child)
+    if isinstance(phi, (ForAll, Exists)):
+        out -= {phi.var}
+    return out
 
 
 def _subst(phi: Formula, v: int, r: Term) -> Formula:
-    match phi:
-        case Pred(symbol, args):
-            return Pred(symbol, tuple(_subst_term(t, v, r) for t in args))
-        case Less(left, right):
-            return Less(_subst_term(left, v, r), _subst_term(right, v, r))
-        case Not(body):
-            return Not(_subst(body, v, r))
-        case And(left, right):
-            return And(_subst(left, v, r), _subst(right, v, r))
-        case Or(left, right):
-            return Or(_subst(left, v, r), _subst(right, v, r))
-        case Imp(left, right):
-            return Imp(_subst(left, v, r), _subst(right, v, r))
-        case Iff(left, right):
-            return Iff(_subst(left, v, r), _subst(right, v, r))
-        case ForAll(var, body):
-            return phi if var == v else ForAll(var, _subst(body, v, r))
-        case Exists(var, body):
-            return phi if var == v else Exists(var, _subst(body, v, r))
-        case Unquote(arg):
-            return Unquote(_subst_term(arg, v, r))
-    raise TypeError(f"not a formula: {phi!r}")
+    def replace(node: Any) -> Any:
+        if isinstance(node, Var):
+            return r if node.code == v else node
+        if isinstance(node, (ForAll, Exists)) and node.var == v:
+            return node
+        return None
+
+    return syntax.rewrite(phi, replace)
 
 
 def substitute(phi: Formula, v: int, t: Term) -> Formula:
@@ -347,19 +249,12 @@ def _neg_meta(n: int) -> int:
     return goedel_number(Not(formula_of(n)))
 
 
-def _reduce_term(t: Term) -> Term:
-    # fire only redexes present in the input: a rewritten spot is not re-scanned
-    match t:
-        case Diag(Num(k)):
-            return Num(diag_meta(k))
-        case Neg(Num(k)):
-            return Num(_neg_meta(k))
-        case Diag(arg):
-            return Diag(_reduce_term(arg))
-        case Neg(arg):
-            return Neg(_reduce_term(arg))
-        case _:
-            return t
+def _fire(node: Any) -> Any:
+    # a rewritten spot is not re-scanned: only redexes of the input fire
+    if isinstance(node, (Diag, Neg)) and isinstance(node.arg, Num):
+        meta = diag_meta if isinstance(node, Diag) else _neg_meta
+        return Num(meta(node.arg.value))
+    return None
 
 
 def reduce_diag(phi: Formula) -> Formula:
@@ -368,28 +263,7 @@ def reduce_diag(phi: Formula) -> Formula:
     Numerals produced by a rewrite are not themselves re-examined; see the
     module docstring for why. Unquote nodes are left inert.
     """
-    match phi:
-        case Pred(symbol, args):
-            return Pred(symbol, tuple(_reduce_term(t) for t in args))
-        case Less(left, right):
-            return Less(_reduce_term(left), _reduce_term(right))
-        case Not(body):
-            return Not(reduce_diag(body))
-        case And(left, right):
-            return And(reduce_diag(left), reduce_diag(right))
-        case Or(left, right):
-            return Or(reduce_diag(left), reduce_diag(right))
-        case Imp(left, right):
-            return Imp(reduce_diag(left), reduce_diag(right))
-        case Iff(left, right):
-            return Iff(reduce_diag(left), reduce_diag(right))
-        case ForAll(var, body):
-            return ForAll(var, reduce_diag(body))
-        case Exists(var, body):
-            return Exists(var, reduce_diag(body))
-        case Unquote(arg):
-            return Unquote(_reduce_term(arg))
-    raise TypeError(f"not a formula: {phi!r}")
+    return syntax.rewrite(phi, _fire)
 
 
 def unquote_once(phi: Formula) -> Formula:
@@ -398,60 +272,22 @@ def unquote_once(phi: Formula) -> Formula:
     Single-step on purpose: a self-implication's body contains its own quote,
     so normalizing would never finish.
     """
-    match phi:
-        case Unquote(Num(k)):
-            return formula_of(k)
-        case Pred(_, _) | Less(_, _) | Unquote(_):
-            return phi
-        case Not(body):
-            return Not(unquote_once(body))
-        case And(left, right):
-            return And(unquote_once(left), unquote_once(right))
-        case Or(left, right):
-            return Or(unquote_once(left), unquote_once(right))
-        case Imp(left, right):
-            return Imp(unquote_once(left), unquote_once(right))
-        case Iff(left, right):
-            return Iff(unquote_once(left), unquote_once(right))
-        case ForAll(var, body):
-            return ForAll(var, unquote_once(body))
-        case Exists(var, body):
-            return Exists(var, unquote_once(body))
-    raise TypeError(f"not a formula: {phi!r}")
+
+    def unquote(node: Any) -> Optional[Formula]:
+        if isinstance(node, Unquote) and isinstance(node.arg, Num):
+            return formula_of(node.arg.value)
+        return None
+
+    return syntax.rewrite(phi, unquote)
 
 
-def _contains_diag_numeral(phi: Formula) -> bool:
-    def term_has(t: Term) -> bool:
-        match t:
-            case Diag(Num(_)):
-                return True
-            case Diag(arg) | Neg(arg):
-                return term_has(arg)
-            case _:
-                return False
-
-    for t in _iter_terms(phi):
-        if term_has(t):
+def _contains_diag_numeral(node: Any) -> bool:
+    if isinstance(node, Diag) and isinstance(node.arg, Num):
+        return True
+    for child in syntax.children(node):
+        if _contains_diag_numeral(child):
             return True
     return False
-
-
-def _iter_terms(phi: Formula) -> Iterator[Term]:
-    match phi:
-        case Pred(_, args):
-            yield from args
-        case Less(left, right):
-            yield left
-            yield right
-        case Not(body):
-            yield from _iter_terms(body)
-        case And(left, right) | Or(left, right) | Imp(left, right) | Iff(left, right):
-            yield from _iter_terms(left)
-            yield from _iter_terms(right)
-        case ForAll(_, body) | Exists(_, body):
-            yield from _iter_terms(body)
-        case Unquote(arg):
-            yield arg
 
 
 @dataclass(frozen=True)
@@ -552,117 +388,13 @@ def curry_sentence(a: Formula) -> LemmaCertificate:
 
 
 def format_term(t: Term) -> str:
-    match t:
-        case Var(code):
-            return var_name(code)
-        case Num(value):
-            return str(value)
-        case Diag(arg):
-            return f"(diag {format_term(arg)})"
-        case Neg(arg):
-            return f"(neg {format_term(arg)})"
-    raise TypeError(f"not a term: {t!r}")
+    return TERMS.format(t)
 
 
 def format_formula(phi: Formula) -> str:
-    match phi:
-        case Pred(symbol, args):
-            name = _SYMBOL_NAMES.get(symbol, f"sym{symbol}")
-            inner = " ".join(format_term(t) for t in args)
-            return f"({name} {inner})" if inner else f"({name})"
-        case Less(left, right):
-            return f"(< {format_term(left)} {format_term(right)})"
-        case Not(body):
-            return f"(not {format_formula(body)})"
-        case And(left, right):
-            return f"(and {format_formula(left)} {format_formula(right)})"
-        case Or(left, right):
-            return f"(or {format_formula(left)} {format_formula(right)})"
-        case Imp(left, right):
-            return f"(imp {format_formula(left)} {format_formula(right)})"
-        case Iff(left, right):
-            return f"(iff {format_formula(left)} {format_formula(right)})"
-        case ForAll(var, body):
-            return f"(forall {var_name(var)} {format_formula(body)})"
-        case Exists(var, body):
-            return f"(exists {var_name(var)} {format_formula(body)})"
-        case Unquote(arg):
-            return f"(unq {format_term(arg)})"
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-_CONNECTIVES = {"and": And, "or": Or, "imp": Imp, "iff": Iff}
+    return FORMULAS.format(phi)
 
 
 def parse_formula(text: str) -> Formula:
     """Read the prefix notation; unknown symbols are rejected with a position."""
-    return _node_to_formula(sexpr.parse(text))
-
-
-def _node_to_term(node: sexpr.Node) -> Term:
-    if isinstance(node, sexpr.Atom):
-        if node.text.isdigit():
-            return Num(int(node.text))
-        code = var_code(node.text)
-        if code is None:
-            raise InputError(
-                f"unknown symbol {node.text!r} at offset {node.pos} (expected a term)"
-            )
-        return Var(code)
-    if not node.items or not isinstance(node.items[0], sexpr.Atom):
-        raise InputError(f"expected an operator at offset {node.pos}")
-    head, args = node.items[0].text, node.items[1:]
-    if head in ("diag", "neg"):
-        if len(args) != 1:
-            raise InputError(f"{head} takes 1 argument (offset {node.pos})")
-        ctor = Diag if head == "diag" else Neg
-        return ctor(_node_to_term(args[0]))
-    raise InputError(f"unknown symbol {head!r} at offset {node.pos} (expected a term)")
-
-
-def _node_to_formula(node: sexpr.Node) -> Formula:
-    if isinstance(node, sexpr.Atom):
-        raise InputError(
-            f"expected a formula at offset {node.pos}, found atom {node.text!r}"
-        )
-    if not node.items or not isinstance(node.items[0], sexpr.Atom):
-        raise InputError(f"expected an operator at offset {node.pos}")
-    head, args = node.items[0].text, node.items[1:]
-    if head == "not":
-        if len(args) != 1:
-            raise InputError(f"not takes 1 argument (offset {node.pos})")
-        return Not(_node_to_formula(args[0]))
-    if head in _CONNECTIVES:
-        if len(args) != 2:
-            raise InputError(f"{head} takes 2 arguments (offset {node.pos})")
-        return _CONNECTIVES[head](
-            _node_to_formula(args[0]), _node_to_formula(args[1])
-        )
-    if head in ("forall", "exists"):
-        if len(args) != 2 or not isinstance(args[0], sexpr.Atom):
-            raise InputError(
-                f"{head} takes a variable and a body (offset {node.pos})"
-            )
-        code = var_code(args[0].text)
-        if code is None:
-            raise InputError(
-                f"unknown variable {args[0].text!r} at offset {args[0].pos}"
-            )
-        ctor = ForAll if head == "forall" else Exists
-        return ctor(code, _node_to_formula(args[1]))
-    if head == "unq":
-        if len(args) != 1:
-            raise InputError(f"unq takes 1 argument (offset {node.pos})")
-        return Unquote(_node_to_term(args[0]))
-    if head == "<":
-        if len(args) != 2:
-            raise InputError(f"< takes 2 arguments (offset {node.pos})")
-        return Less(_node_to_term(args[0]), _node_to_term(args[1]))
-    if head in SYMBOLS:
-        code, arity = SYMBOLS[head]
-        if len(args) != arity:
-            raise InputError(
-                f"{head} takes {arity} argument(s) (offset {node.pos})"
-            )
-        return Pred(code, tuple(_node_to_term(a) for a in args))
-    raise InputError(f"unknown symbol {head!r} at offset {node.pos}")
+    return FORMULAS.parse(text)

@@ -1,0 +1,267 @@
+"""One node layer for programs, terms and formulas.
+
+A notation is a `Sort`: a table with one row per constructor, giving its
+dataclass, the head word it prints with and the kind of each field. A row's
+position is its tag and the number of rows is the sort's radix. Numbering,
+printing and reading are derived from the rows, and so are `rewrite` and
+`children`, a structural map and a fold whose callers give only their special
+cases. Every walker recurses one host frame per tree level.
+
+A node's number is radix * payload + tag. The payload is the right-nested
+Cantor pairing of the field numbers, pair(a, pair(b, c)): a scalar field is
+its own number, a child its child's number and a tuple of children a list
+number. Every natural number is the number of exactly one node.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields as dataclass_fields
+from math import isqrt
+from typing import Any, Callable, Mapping, Optional, Sequence
+
+from . import sexpr
+from .errors import InputError
+
+
+def pair(a: int, b: int) -> int:
+    """Cantor pairing (a+b)(a+b+1)/2 + b; a bijection N x N -> N."""
+    s = a + b
+    return s * (s + 1) // 2 + b
+
+
+def unpair(p: int) -> tuple[int, int]:
+    """Two-sided inverse of `pair`."""
+    w = (isqrt(8 * p + 1) - 1) // 2
+    b = p - w * (w + 1) // 2
+    return w - b, b
+
+
+def list_number(codes: Sequence[int]) -> int:
+    """The empty list is 0; [head, *rest] is pair(head, list_number(rest)) + 1."""
+    out = 0
+    for code in reversed(codes):
+        out = pair(code, out) + 1
+    return out
+
+
+def list_of(n: int) -> list[int]:
+    """Inverse of `list_number`."""
+    out = []
+    while n != 0:
+        head, n = unpair(n - 1)
+        out.append(head)
+    return out
+
+
+class Scalar:
+    """Field kind: a natural number, spelled by `name` and read back by `code`."""
+
+    def __init__(self, name: Callable[[int], str], code: Callable[[str], Optional[int]]):
+        self.name = name
+        self.code = code
+
+    def number(self, value: int) -> int:
+        return value
+
+    denumber = number
+
+
+NAT = Scalar(str, lambda text: int(text) if text.isdigit() else None)
+
+
+class Many:
+    """Field kind: a tuple of children of one sort, numbered as a list."""
+
+    def __init__(self, sort: Sort) -> None:
+        self.sort = sort
+
+    def number(self, value: tuple) -> int:
+        return list_number([self.sort.number(x) for x in value])
+
+    def denumber(self, n: int) -> tuple:
+        return tuple([self.sort.denumber(c) for c in list_of(n)])
+
+
+class Kind:
+    """One row of a sort's table; `slots` pairs each field kind with its name."""
+
+    def __init__(self, sort: Sort, cls: type, head: Any, fields: Sequence[Any]):
+        self.sort = sort
+        self.cls = cls
+        self.tag = len(sort.kinds)
+        self.head = head
+        self.fields = tuple(fields)
+        self.slots = tuple(zip(self.fields, [f.name for f in dataclass_fields(cls)]))
+        self.symbols = None
+        if isinstance(head, Mapping):
+            self.symbols = {code: word for word, (code, _) in head.items()}
+
+
+# every declared dataclass and its row
+_KINDS: dict[type, Kind] = {}
+
+
+def _kind(node: Any, sort: Optional[Sort] = None) -> Kind:
+    kind = _KINDS.get(node.__class__)
+    if kind is None or (sort is not None and kind.sort is not sort):
+        raise TypeError(f"not a {sort.name if sort else 'node'}: {node!r}")
+    return kind
+
+
+# the message for a bad atom or head word, given its text and offset
+Message = Callable[[str, int], str]
+
+
+class Sort:
+    """A notation: its rows, and what its reader says of a bad atom or head word."""
+
+    def __init__(self, name: str, atom_error: Message, head_error: Message) -> None:
+        self.name = name
+        self.atom_error = atom_error
+        self.head_error = head_error
+        self.kinds: list[Kind] = []
+        self.radix = 0
+        # (dataclass, fields or None for a leaf) by tag: plain tuples keep
+        # `denumber` as fast as a hand-written decoder, and the interpreter
+        # decodes every program it runs
+        self.rows: list[tuple[type, Optional[tuple]]] = []
+        # head word -> (row, fields the word fills, arity, what the arity error says)
+        self.heads: dict[str, tuple[Kind, tuple, int, str]] = {}
+
+    def declare(self, *rows: tuple[type, Any, Sequence[Any]]) -> None:
+        """Add rows (dataclass, head, fields); a row's position is its tag.
+
+        The head is a word; None for a leaf, which prints as its one scalar
+        field; or a symbol table {word: (code, arity)} whose code fills the
+        first field.
+        """
+        for cls, head, fields in rows:
+            kind = Kind(self, cls, head, fields)
+            self.kinds.append(kind)
+            self.rows.append((cls, None if head is None else kind.fields))
+            _KINDS[cls] = kind
+            n = len(fields)
+            if kind.symbols is not None:
+                for word, (code, arity) in head.items():
+                    self.heads[word] = (kind, (code,), arity, f"{arity} argument(s)")
+            elif head is not None and any(f.__class__ is Scalar for f in fields):
+                self.heads[head] = (kind, (), n, "a variable and a body")
+            elif head is not None:
+                self.heads[head] = (kind, (), n, f"{n} argument" + "s" * (n != 1))
+        self.radix = len(self.kinds)
+
+    def number(self, node: Any) -> int:
+        kind = _kind(node, self)
+        field, name = kind.slots[-1]
+        payload = field.number(getattr(node, name))
+        for field, name in kind.slots[-2::-1]:
+            payload = pair(field.number(getattr(node, name)), payload)
+        return self.radix * payload + kind.tag
+
+    def denumber(self, n: int) -> Any:
+        cls, fields = self.rows[n % self.radix]
+        payload = n // self.radix
+        if fields is None:
+            return cls(payload)
+        if len(fields) == 1:
+            return cls(fields[0].denumber(payload))
+        values = []
+        for field in fields[:-1]:
+            value, payload = unpair(payload)
+            values.append(field.denumber(value))
+        values.append(fields[-1].denumber(payload))
+        return cls(*values)
+
+    def format(self, node: Any) -> str:
+        """Prefix notation: a leaf prints bare, any other node as (head fields...)."""
+        kind = _kind(node, self)
+        slots = kind.slots
+        if kind.head is None:
+            return slots[0][0].name(getattr(node, slots[0][1]))
+        if kind.symbols is None:
+            words = [kind.head]
+        else:
+            code = getattr(node, slots[0][1])
+            words = [kind.symbols.get(code, f"sym{code}")]
+            slots = slots[1:]
+        for field, name in slots:
+            value = getattr(node, name)
+            if field.__class__ is Many:
+                words.extend([field.sort.format(x) for x in value])
+            elif field.__class__ is Scalar:
+                words.append(field.name(value))
+            else:
+                words.append(field.format(value))
+        return "(" + " ".join(words) + ")"
+
+    def parse(self, text: str) -> Any:
+        return self.read(sexpr.parse(text))
+
+    def read(self, node: sexpr.Node) -> Any:
+        """Build a node of this sort from an s-expression; errors name an offset."""
+        if isinstance(node, sexpr.Atom):
+            for kind in self.kinds:
+                if kind.head is None:
+                    value = kind.fields[0].code(node.text)
+                    if value is not None:
+                        return kind.cls(value)
+            raise InputError(self.atom_error(node.text, node.pos))
+        if not node.items or not isinstance(node.items[0], sexpr.Atom):
+            raise InputError(f"expected an operator at offset {node.pos}")
+        word, args = node.items[0].text, node.items[1:]
+        if word not in self.heads:
+            raise InputError(self.head_error(word, node.pos))
+        kind, values, arity, usage = self.heads[word]
+        if len(args) != arity:
+            raise InputError(f"{word} takes {usage} (offset {node.pos})")
+        values = list(values)
+        args = iter(args)
+        for field in kind.fields[len(values):]:
+            if field.__class__ is Many:
+                values.append(tuple([field.sort.read(a) for a in args]))
+                continue
+            arg = next(args)
+            if field.__class__ is Sort:
+                values.append(field.read(arg))
+                continue
+            if not isinstance(arg, sexpr.Atom):
+                raise InputError(f"{word} takes {usage} (offset {node.pos})")
+            code = field.code(arg.text)
+            if code is None:
+                raise InputError(f"unknown variable {arg.text!r} at offset {arg.pos}")
+            values.append(code)
+        return kind.cls(*values)
+
+
+def rewrite(node: Any, rule: Callable[[Any], Any]) -> Any:
+    """Rebuild a tree with the caller's special cases.
+
+    rule(n) returns the replacement of n, which is not examined further, or
+    None to keep n's constructor and rewrite its children.
+    """
+    out = rule(node)
+    if out is not None:
+        return out
+    kind = _kind(node)
+    if kind.head is None:
+        return node
+    values = []
+    for field, name in kind.slots:
+        value = getattr(node, name)
+        if field.__class__ is Sort:
+            value = rewrite(value, rule)
+        elif field.__class__ is Many:
+            value = tuple([rewrite(x, rule) for x in value])
+        values.append(value)
+    return kind.cls(*values)
+
+
+def children(node: Any) -> list:
+    """The child nodes of a node, in field order, for folds."""
+    out = []
+    for field, name in _kind(node).slots:
+        if field.__class__ is Sort:
+            out.append(getattr(node, name))
+        elif field.__class__ is Many:
+            out.extend(getattr(node, name))
+    return out

@@ -14,12 +14,12 @@ are fuel-bounded approximations of the exact halting sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from . import sexpr
+from . import syntax
 from .errors import InputError
 from .instances import DescribesMatrix
+from .syntax import pair, unpair
 
 Expr = Union[
     "Var", "Const", "Succ", "Pred", "IfZero", "Pair", "Fst", "Snd", "Run", "Smn"
@@ -104,85 +104,43 @@ Outcome = Union[Value, Diverged, Stuck]
 OMEGA = 2208
 
 
-def pair(a: int, b: int) -> int:
-    """Cantor pairing (a+b)(a+b+1)/2 + b; a bijection N x N -> N."""
-    s = a + b
-    return s * (s + 1) // 2 + b
+def _bad_atom(text: str, pos: int) -> str:
+    what = "bad argument reference" if text.startswith("%") else "unknown atom"
+    return f"{what} {text!r} at offset {pos}"
 
 
-def unpair(p: int) -> tuple[int, int]:
-    """Two-sided inverse of `pair`."""
-    w = (isqrt(8 * p + 1) - 1) // 2
-    b = p - w * (w + 1) // 2
-    return w - b, b
-
-
-_TAG_VAR = 0
-_TAG_CONST = 1
-_TAG_SUCC = 2
-_TAG_PRED = 3
-_TAG_IFZERO = 4
-_TAG_PAIR = 5
-_TAG_FST = 6
-_TAG_SND = 7
-_TAG_RUN = 8
-_TAG_SMN = 9
+# argument references are spelled %i
+_ARG = syntax.Scalar(
+    lambda index: f"%{index}",
+    lambda text: int(text[1:]) if text[:1] == "%" and text[1:].isdigit() else None,
+)
+PROGRAMS = syntax.Sort(
+    "expression",
+    atom_error=_bad_atom,
+    head_error=lambda word, pos: f"unknown operator {word!r} at offset {pos}",
+)
+PROGRAMS.declare(
+    (Var, None, [_ARG]),
+    (Const, None, [syntax.NAT]),
+    (Succ, "succ", [PROGRAMS]),
+    (Pred, "pred", [PROGRAMS]),
+    (IfZero, "ifz", [PROGRAMS] * 3),
+    (Pair, "pair", [PROGRAMS] * 2),
+    (Fst, "fst", [PROGRAMS]),
+    (Snd, "snd", [PROGRAMS]),
+    (Run, "run", [PROGRAMS] * 2),
+    (Smn, "smn", [PROGRAMS] * 2),
+)
 
 
 def encode(e: Expr) -> int:
     """Code of an expression: 10 * payload + constructor tag."""
-    match e:
-        case Var(index):
-            return 10 * index + _TAG_VAR
-        case Const(value):
-            return 10 * value + _TAG_CONST
-        case Succ(child):
-            return 10 * encode(child) + _TAG_SUCC
-        case Pred(child):
-            return 10 * encode(child) + _TAG_PRED
-        case IfZero(cond, then, other):
-            return 10 * pair(encode(cond), pair(encode(then), encode(other))) + _TAG_IFZERO
-        case Pair(left, right):
-            return 10 * pair(encode(left), encode(right)) + _TAG_PAIR
-        case Fst(child):
-            return 10 * encode(child) + _TAG_FST
-        case Snd(child):
-            return 10 * encode(child) + _TAG_SND
-        case Run(prog, arg):
-            return 10 * pair(encode(prog), encode(arg)) + _TAG_RUN
-        case Smn(prog, arg):
-            return 10 * pair(encode(prog), encode(arg)) + _TAG_SMN
-    raise TypeError(f"not an expression: {e!r}")
+    return PROGRAMS.number(e)
 
 
 def decode(n: int) -> Expr:
     """Total inverse of `encode`: every natural number is a program body."""
-    tag = n % 10
-    payload = n // 10
-    if tag == _TAG_VAR:
-        return Var(payload)
-    if tag == _TAG_CONST:
-        return Const(payload)
-    if tag == _TAG_SUCC:
-        return Succ(decode(payload))
-    if tag == _TAG_PRED:
-        return Pred(decode(payload))
-    if tag == _TAG_IFZERO:
-        c, rest = unpair(payload)
-        t, e = unpair(rest)
-        return IfZero(decode(c), decode(t), decode(e))
-    if tag == _TAG_PAIR:
-        a, b = unpair(payload)
-        return Pair(decode(a), decode(b))
-    if tag == _TAG_FST:
-        return Fst(decode(payload))
-    if tag == _TAG_SND:
-        return Snd(decode(payload))
-    if tag == _TAG_RUN:
-        a, b = unpair(payload)
-        return Run(decode(a), decode(b))
-    a, b = unpair(payload)
-    return Smn(decode(a), decode(b))
+    return PROGRAMS.denumber(n)
 
 
 def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
@@ -190,14 +148,23 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
 
     Big-step, deterministic, and monotone: a Value at fuel F is the same
     Value at every larger budget. Each expression node visit costs one unit;
-    nested `Run` calls draw on the same budget.
+    nested `Run` calls draw on the same budget. Fuel must be a natural
+    number; fuel 0 is Diverged at once.
     """
+    _check_fuel(fuel)
     return _run_body(decode(p), tuple(args), fuel)
 
 
 def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
     """Like `evaluate` but starting from an already-decoded body."""
+    _check_fuel(fuel)
     return _run_body(body, tuple(args), fuel)
+
+
+def _check_fuel(fuel: int) -> None:
+    # the run loop counts fuel down to 0: a negative budget would never run out
+    if fuel < 0:
+        raise InputError(f"fuel must be a natural number, got {fuel}")
 
 
 # continuation opcodes for the explicit-stack machine
@@ -293,34 +260,13 @@ def smn_meta(p: int, y: int) -> int:
     references are left alone. For all x, running the result on [x] agrees
     with running p on [y, x] up to fuel slack.
     """
-    return encode(_specialize(decode(p), y))
 
+    def specialize(e: Expr) -> Optional[Expr]:
+        if isinstance(e, Var) and e.index in (1, 2):
+            return Const(y) if e.index == 1 else Var(1)
+        return None
 
-def _specialize(e: Expr, y: int) -> Expr:
-    match e:
-        case Var(1):
-            return Const(y)
-        case Var(2):
-            return Var(1)
-        case Var(_) | Const(_):
-            return e
-        case Succ(child):
-            return Succ(_specialize(child, y))
-        case Pred(child):
-            return Pred(_specialize(child, y))
-        case IfZero(cond, then, other):
-            return IfZero(_specialize(cond, y), _specialize(then, y), _specialize(other, y))
-        case Pair(left, right):
-            return Pair(_specialize(left, y), _specialize(right, y))
-        case Fst(child):
-            return Fst(_specialize(child, y))
-        case Snd(child):
-            return Snd(_specialize(child, y))
-        case Run(prog, arg):
-            return Run(_specialize(prog, y), _specialize(arg, y))
-        case Smn(prog, arg):
-            return Smn(_specialize(prog, y), _specialize(arg, y))
-    raise TypeError(f"not an expression: {e!r}")
+    return encode(syntax.rewrite(decode(p), specialize))
 
 
 def recursion_fixed_point(h: int) -> int:
@@ -516,13 +462,9 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     return DescribesMatrix(labels=tuple(str(i) for i in range(n)), rel=rel)
 
 
-_UNARY_HEADS = {"succ": Succ, "pred": Pred, "fst": Fst, "snd": Snd}
-_BINARY_HEADS = {"pair": Pair, "run": Run, "smn": Smn}
-
-
 def parse_program(text: str) -> Expr:
     """Read the prefix notation: numerals are constants, %i argument refs."""
-    return _node_to_expr(sexpr.parse(text))
+    return PROGRAMS.parse(text)
 
 
 def parse_program_or_code(text: str) -> int:
@@ -536,61 +478,6 @@ def parse_program_or_code(text: str) -> int:
     return encode(parse_program(text))
 
 
-def _node_to_expr(node: sexpr.Node) -> Expr:
-    if isinstance(node, sexpr.Atom):
-        if node.text.startswith("%"):
-            suffix = node.text[1:]
-            if not suffix.isdigit():
-                raise InputError(
-                    f"bad argument reference {node.text!r} at offset {node.pos}"
-                )
-            return Var(int(suffix))
-        if node.text.isdigit():
-            return Const(int(node.text))
-        raise InputError(f"unknown atom {node.text!r} at offset {node.pos}")
-    if not node.items or not isinstance(node.items[0], sexpr.Atom):
-        raise InputError(f"expected an operator at offset {node.pos}")
-    head = node.items[0].text
-    args = node.items[1:]
-    if head in _UNARY_HEADS:
-        if len(args) != 1:
-            raise InputError(f"{head} takes 1 argument (offset {node.pos})")
-        return _UNARY_HEADS[head](_node_to_expr(args[0]))
-    if head in _BINARY_HEADS:
-        if len(args) != 2:
-            raise InputError(f"{head} takes 2 arguments (offset {node.pos})")
-        return _BINARY_HEADS[head](_node_to_expr(args[0]), _node_to_expr(args[1]))
-    if head == "ifz":
-        if len(args) != 3:
-            raise InputError(f"ifz takes 3 arguments (offset {node.pos})")
-        return IfZero(*(_node_to_expr(a) for a in args))
-    raise InputError(f"unknown operator {head!r} at offset {node.pos}")
-
-
 def format_program(e: Expr) -> str:
     """Prefix notation matching `parse_program`."""
-    match e:
-        case Var(index):
-            return f"%{index}"
-        case Const(value):
-            return str(value)
-        case Succ(child):
-            return f"(succ {format_program(child)})"
-        case Pred(child):
-            return f"(pred {format_program(child)})"
-        case IfZero(cond, then, other):
-            return (
-                f"(ifz {format_program(cond)} {format_program(then)} "
-                f"{format_program(other)})"
-            )
-        case Pair(left, right):
-            return f"(pair {format_program(left)} {format_program(right)})"
-        case Fst(child):
-            return f"(fst {format_program(child)})"
-        case Snd(child):
-            return f"(snd {format_program(child)})"
-        case Run(prog, arg):
-            return f"(run {format_program(prog)} {format_program(arg)})"
-        case Smn(prog, arg):
-            return f"(smn {format_program(prog)} {format_program(arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return PROGRAMS.format(e)

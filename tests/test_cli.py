@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -347,3 +349,50 @@ def test_formal_unknown_symbol_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Bogus" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["universe", "halt-matrix", "--n", "2", "--fuel", "-3"],
+        ["universe", "rice", "--decider", "11", "--a", "1", "--b", "2208", "--fuel", "-1"],
+    ],
+)
+def test_negative_fuel_exits_2(argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_negative_fuel_refutation_exits_2_without_hanging():
+    # this command used to loop forever, so it runs in a child with a deadline
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["universe", "refute-halt", "--candidate", "2208", "--fuel", "-1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "fuel" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["universe", "recursion", "--h", "(succ " * 100_000 + "1" + ")" * 100_000],
+        ["formal", "curry", "--a", "(not " * 100_000 + "(Prov 0 0)" + ")" * 100_000],
+    ],
+    ids=["program", "formula"],
+)
+def test_deep_nesting_exits_2(argv, capsys):
+    # in process: one argument this long is past the OS limit for an argv string
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: input nests too deeply\n"

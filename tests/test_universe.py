@@ -115,6 +115,17 @@ def test_eval_fuel_exhaustion():
     assert evaluate(code, [], 4) == Value(3)
 
 
+def test_eval_rejects_negative_fuel():
+    # the run loop counts down to 0, so a negative budget used to never run out
+    for fuel in (-1, -3):
+        with pytest.raises(InputError):
+            evaluate(10, [1], fuel)
+        with pytest.raises(InputError):
+            U.evaluate_body(Const(1), [], fuel)
+    assert evaluate(10, [1], 0) == Diverged()
+    assert U.evaluate_body(Const(1), [], 0) == Diverged()
+
+
 def test_eval_deterministic():
     rng = random.Random(7)
     for _ in range(50):
