@@ -151,20 +151,17 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     nested `Run` calls draw on the same budget. Fuel must be a natural
     number; fuel 0 is Diverged at once.
     """
-    _check_fuel(fuel)
+    # the run loop counts fuel down to 0: a negative budget would never run out
+    if fuel < 0:
+        raise InputError(f"fuel must be a natural number, got {fuel}")
     return _run_body(decode(p), tuple(args), fuel)
 
 
 def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
     """Like `evaluate` but starting from an already-decoded body."""
-    _check_fuel(fuel)
-    return _run_body(body, tuple(args), fuel)
-
-
-def _check_fuel(fuel: int) -> None:
-    # the run loop counts fuel down to 0: a negative budget would never run out
     if fuel < 0:
         raise InputError(f"fuel must be a natural number, got {fuel}")
+    return _run_body(body, tuple(args), fuel)
 
 
 # continuation opcodes for the explicit-stack machine
