@@ -164,28 +164,19 @@ def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
     return _run_body(body, tuple(args), fuel)
 
 
-# continuation opcodes for the explicit-stack machine
-_K_SUCC = 0
-_K_PRED = 1
-_K_IF = 2
-_K_PAIR = 3
-_K_FST = 4
-_K_SND = 5
-_K_RUN = 6
-_K_SMN = 7
-
-
 def _run_body(body: Expr, args: tuple[int, ...], fuel: int) -> Outcome:
-    # explicit work/value stacks: self-application must not grow the host stack
-    work: list = [(True, body, args)]
+    # explicit work/value stacks: self-application must not grow the host stack.
+    # A work item is (node, env, visit). A visit pays one unit of fuel and
+    # pushes the node back to be finished once its children are visited; a
+    # finish combines the children's values.
+    work: list = [(body, args, True)]
     vals: list[int] = []
     while work:
-        item = work.pop()
-        if item[0]:
+        e, env, visit = work.pop()
+        if visit:
             if fuel == 0:
                 return Diverged()
             fuel -= 1
-            e, env = item[1], item[2]
             match e:
                 case Var(index):
                     if 1 <= index <= len(env):
@@ -194,59 +185,38 @@ def _run_body(body: Expr, args: tuple[int, ...], fuel: int) -> Outcome:
                         return Stuck()
                 case Const(value):
                     vals.append(value)
-                case Succ(child):
-                    work.append((False, _K_SUCC, None))
-                    work.append((True, child, env))
-                case Pred(child):
-                    work.append((False, _K_PRED, None))
-                    work.append((True, child, env))
-                case IfZero(cond, then, other):
-                    work.append((False, _K_IF, (then, other, env)))
-                    work.append((True, cond, env))
-                case Pair(left, right):
-                    work.append((False, _K_PAIR, None))
-                    work.append((True, right, env))
-                    work.append((True, left, env))
-                case Fst(child):
-                    work.append((False, _K_FST, None))
-                    work.append((True, child, env))
-                case Snd(child):
-                    work.append((False, _K_SND, None))
-                    work.append((True, child, env))
-                case Run(prog, arg):
-                    work.append((False, _K_RUN, None))
-                    work.append((True, arg, env))
-                    work.append((True, prog, env))
-                case Smn(prog, arg):
-                    work.append((False, _K_SMN, None))
-                    work.append((True, arg, env))
-                    work.append((True, prog, env))
+                case Succ(child) | Pred(child) | Fst(child) | Snd(child):
+                    work.append((e, env, False))
+                    work.append((child, env, True))
+                case IfZero(cond):
+                    work.append((e, env, False))
+                    work.append((cond, env, True))
+                case Pair(left, right) | Run(left, right) | Smn(left, right):
+                    work.append((e, env, False))
+                    work.append((right, env, True))
+                    work.append((left, env, True))
         else:
-            k, extra = item[1], item[2]
-            if k == _K_SUCC:
-                vals.append(vals.pop() + 1)
-            elif k == _K_PRED:
-                v = vals.pop()
-                vals.append(v - 1 if v > 0 else 0)
-            elif k == _K_IF:
-                then, other, env = extra
-                work.append((True, then if vals.pop() == 0 else other, env))
-            elif k == _K_PAIR:
-                b = vals.pop()
-                a = vals.pop()
-                vals.append(pair(a, b))
-            elif k == _K_FST:
-                vals.append(unpair(vals.pop())[0])
-            elif k == _K_SND:
-                vals.append(unpair(vals.pop())[1])
-            elif k == _K_RUN:
-                x = vals.pop()
-                prog_code = vals.pop()
-                work.append((True, decode(prog_code), (x,)))
-            else:
-                y = vals.pop()
-                prog_code = vals.pop()
-                vals.append(smn_meta(prog_code, y))
+            match e:
+                case Succ():
+                    vals.append(vals.pop() + 1)
+                case Pred():
+                    v = vals.pop()
+                    vals.append(v - 1 if v > 0 else 0)
+                case IfZero(_, then, other):
+                    work.append((then if vals.pop() == 0 else other, env, True))
+                case Pair():
+                    b = vals.pop()
+                    vals.append(pair(vals.pop(), b))
+                case Fst():
+                    vals.append(unpair(vals.pop())[0])
+                case Snd():
+                    vals.append(unpair(vals.pop())[1])
+                case Run():
+                    x = vals.pop()
+                    work.append((decode(vals.pop()), (x,), True))
+                case Smn():
+                    y = vals.pop()
+                    vals.append(smn_meta(vals.pop(), y))
     return Value(vals.pop())
 
 
