@@ -156,7 +156,7 @@ def load_matrix_file(
         raise InputError("field 'f' must be a list of rows")
     try:
         f = core.EvalMatrix(rows=rows, cols=cols, y=y, cell=tuple(tuple(r) for r in cell))
-    except (InputError, TypeError) as exc:
+    except InputError as exc:
         raise InputError(f"field 'f': {exc}") from exc
 
     section = None

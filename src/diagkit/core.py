@@ -65,12 +65,15 @@ class EvalMatrix:
         object.__setattr__(self, "cell", tuple(tuple(row) for row in self.cell))
         if len(self.cell) != self.rows.size:
             raise InputError("matrix must have one row per row-carrier element")
-        for t, row in enumerate(self.cell):
-            if len(row) != self.cols.size:
-                raise InputError(f"row {t} must have one entry per column")
-            for s, value in enumerate(row):
-                if not 0 <= value < self.y.size:
-                    raise InputError(f"cell ({t},{s}) lies outside the value carrier")
+        try:
+            for t, row in enumerate(self.cell):
+                if len(row) != self.cols.size:
+                    raise InputError(f"row {t} must have one entry per column")
+                for s, value in enumerate(row):
+                    if not 0 <= value < self.y.size:
+                        raise InputError(f"cell ({t},{s}) lies outside the value carrier")
+        except TypeError:
+            raise InputError(f"cell ({t},{s}) is not a number") from None
 
     @property
     def is_square(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
 
 from .core import (
     Carrier,
@@ -21,7 +20,6 @@ from .core import (
     NonRepresentabilityReport,
     cantor_witness,
 )
-from .errors import InputError
 
 BIT_CARRIER = Carrier(2)
 TRI_LEVELS = ("T", "M", "F")
@@ -44,14 +42,9 @@ class SubsetFamily:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
-        n = len(self.subsets)
-        if n < 1:
-            raise InputError("family must enumerate at least one subset")
-        for i, bits in enumerate(self.subsets):
-            if len(bits) != n:
-                raise InputError(f"subset {i} must be a bit-vector of length {n}")
-            if any(b not in (0, 1) for b in bits):
-                raise InputError(f"subset {i} must contain only bits")
+        # checked as the square bit table whose row m is S_m
+        carrier = Carrier(self.size)
+        EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=self.subsets)
 
     @property
     def size(self) -> int:
@@ -68,14 +61,7 @@ class DescribesMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "rel", tuple(tuple(r) for r in self.rel))
-        n = len(self.labels)
-        if len(self.rel) != n:
-            raise InputError("relation must be square over the labels")
-        for i, row in enumerate(self.rel):
-            if len(row) != n:
-                raise InputError(f"relation row {i} has the wrong length")
-            if any(b not in (0, 1) for b in row):
-                raise InputError(f"relation row {i} must contain only bits")
+        describes_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -88,14 +74,7 @@ class TriValuedMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "table", tuple(tuple(r) for r in self.table))
-        n = len(self.labels)
-        if len(self.table) != n:
-            raise InputError("table must be square over the labels")
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise InputError(f"table row {i} has the wrong length")
-            if any(v not in TRI_LEVELS for v in row):
-                raise InputError(f"table row {i} must contain only T, M or F")
+        tri_valued_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -112,21 +91,13 @@ class DigitMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "digits", tuple(tuple(r) for r in self.digits))
-        n = len(self.labels)
-        if len(self.digits) != n:
-            raise InputError("digit table must be square over the labels")
-        for i, row in enumerate(self.digits):
-            if len(row) != n:
-                raise InputError(f"digit row {i} has the wrong length")
-            if any(not 0 <= d <= 9 for d in row):
-                raise InputError(f"digit row {i} must contain digits 0-9")
+        digit_matrix(self)
 
 
 def membership_matrix(fam: SubsetFamily) -> EvalMatrix:
     """Rows are elements, columns are subsets: cell[n][m] = 1 iff n in S_m."""
-    n = fam.size
-    carrier = Carrier(n)
-    cell = tuple(tuple(fam.subsets[m][i] for m in range(n)) for i in range(n))
+    carrier = Carrier(fam.size)
+    cell = tuple(zip(*fam.subsets))
     return EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=cell)
 
 
@@ -135,9 +106,13 @@ def describes_matrix(m: DescribesMatrix) -> EvalMatrix:
     return EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=m.rel)
 
 
+# a letter other than T, M or F lands outside the value carrier
+_TRI_VALUE = {level: v for v, level in enumerate(TRI_LEVELS)}
+
+
 def tri_valued_matrix(m: TriValuedMatrix) -> EvalMatrix:
     carrier = Carrier(len(m.labels), m.labels)
-    cell = tuple(tuple(TRI_LEVELS.index(v) for v in row) for row in m.table)
+    cell = tuple(tuple(_TRI_VALUE.get(v, -1) for v in row) for row in m.table)
     return EvalMatrix(rows=carrier, cols=carrier, y=TRI_CARRIER, cell=cell)
 
 
@@ -197,31 +172,28 @@ def heterological_labels(m: DescribesMatrix) -> tuple[str, ...]:
     return tuple(label for label, bit in zip(m.labels, het) if bit == 1)
 
 
-def _load_data(name: str) -> dict:
+def _demo(table: type, name: str, *keys: str):
+    """A table built from the named keys of a bundled data file, and the file name."""
     text = resources.files("diagkit.data").joinpath(name).read_text(encoding="utf-8")
-    return json.loads(text)
+    raw = json.loads(text)
+    return table(*[raw[key] for key in keys]), name
 
 
 def demo_subset_family() -> tuple[SubsetFamily, str]:
-    raw = _load_data("powerset.json")
-    return SubsetFamily(tuple(tuple(s) for s in raw["subsets"])), "powerset.json"
+    return _demo(SubsetFamily, "powerset.json", "subsets")
 
 
 def demo_russell() -> tuple[DescribesMatrix, str]:
-    raw = _load_data("russell.json")
-    return DescribesMatrix(tuple(raw["t_labels"]), tuple(tuple(r) for r in raw["f"])), "russell.json"
+    return _demo(DescribesMatrix, "russell.json", "t_labels", "f")
 
 
 def demo_grelling() -> tuple[DescribesMatrix, str]:
-    raw = _load_data("grelling.json")
-    return DescribesMatrix(tuple(raw["t_labels"]), tuple(tuple(r) for r in raw["f"])), "grelling.json"
+    return _demo(DescribesMatrix, "grelling.json", "t_labels", "f")
 
 
 def demo_strong_liar() -> tuple[TriValuedMatrix, str]:
-    raw = _load_data("strong_liar.json")
-    return TriValuedMatrix(tuple(raw["labels"]), tuple(tuple(r) for r in raw["table"])), "strong_liar.json"
+    return _demo(TriValuedMatrix, "strong_liar.json", "labels", "table")
 
 
 def demo_richard() -> tuple[DigitMatrix, str]:
-    raw = _load_data("richard_digits.json")
-    return DigitMatrix(tuple(raw["labels"]), tuple(tuple(r) for r in raw["digits"])), "richard_digits.json"
+    return _demo(DigitMatrix, "richard_digits.json", "labels", "digits")
