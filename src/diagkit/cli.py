@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 from typing import Any, Optional
 
-from . import core, formal, instances, universe
+from . import core, formal, instances, syntax, universe
 from .errors import InputError, NotApplicableError
 
 QUINE_FUEL = 10**6
@@ -414,8 +414,10 @@ def _cmd_formal(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         payload["c_number"] = cert.c_number
     # recompute the certificate identity from scratch before emission
     ok = (
-        formal.reduce_diag(cert.c) == cert.target
-        and cert.target == formal.substitute(cert.e, cert.variable, formal.Num(cert.c_number))
+        syntax.same(formal.reduce_diag(cert.c), cert.target)
+        and syntax.same(
+            cert.target, formal.substitute(cert.e, cert.variable, formal.Num(cert.c_number))
+        )
         and cert.verified
     )
     return _args_inputs(arg_echo), payload, ok

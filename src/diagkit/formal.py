@@ -142,8 +142,8 @@ def var_name(code: int) -> str:
 def var_code(name: str) -> Optional[int]:
     if name in VAR_NAMES:
         return VAR_NAMES.index(name)
-    if name.startswith("x") and name[1:].isdigit():
-        return int(name[1:])
+    if name.startswith("x"):
+        return syntax.NAT.code(name[1:])
     return None
 
 
@@ -337,7 +337,7 @@ def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
         c_number=c_number,
         reduced=reduced,
         target=target,
-        verified=reduced == target,
+        verified=syntax.same(reduced, target),
     )
 
 

@@ -66,7 +66,8 @@ class Scalar:
     denumber = number
 
 
-NAT = Scalar(str, lambda text: int(text) if text.isdigit() else None)
+# isdecimal, not isdigit: "²" is a digit that int() does not read
+NAT = Scalar(str, lambda text: int(text) if text.isdecimal() else None)
 
 
 class Many:
@@ -265,3 +266,27 @@ def children(node: Any) -> list:
         elif field.__class__ is Many:
             out.extend(getattr(node, name))
     return out
+
+
+def same(a: Any, b: Any) -> bool:
+    """Structural equality of two trees, with an explicit stack.
+
+    Unlike the dataclasses' own `==`, which nests several host frames per
+    level, it compares trees of any depth.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a.__class__ is not b.__class__:
+            return False
+        for field, name in _kind(a).slots:
+            x, y = getattr(a, name), getattr(b, name)
+            if field.__class__ is Sort:
+                stack.append((x, y))
+            elif field.__class__ is Many:
+                if len(x) != len(y):
+                    return False
+                stack.extend(zip(x, y))
+            elif x != y:
+                return False
+    return True

@@ -112,7 +112,7 @@ def _bad_atom(text: str, pos: int) -> str:
 # argument references are spelled %i
 _ARG = syntax.Scalar(
     lambda index: f"%{index}",
-    lambda text: int(text[1:]) if text[:1] == "%" and text[1:].isdigit() else None,
+    lambda text: syntax.NAT.code(text[1:]) if text[:1] == "%" else None,
 )
 PROGRAMS = syntax.Sort(
     "expression",
@@ -357,11 +357,11 @@ class RiceReport:
 # node visits the switch spends around the decider's own run: IfZero, Run,
 # Const, Var, then the chosen Const branch
 _SWITCH_ALLOWANCE = 5
+# inputs on which the probe is compared with the program it switched to
+RICE_SAMPLE_INPUTS = (0, 1, 2, 3)
 
 
-def rice_contradiction(
-    decider: int, a: int, b: int, fuel: int, sample_inputs: Sequence[int] = (0, 1, 2, 3)
-) -> RiceReport:
+def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
     """Build the self-defeating fixed point for a claimed property decider."""
     h_body = IfZero(Run(Const(decider), Var(1)), Const(a), Const(b))
     n0 = recursion_fixed_point(encode(h_body))
@@ -369,7 +369,7 @@ def rice_contradiction(
     switched = evaluate_body(h_body, [n0], fuel + _SWITCH_ALLOWANCE)
     samples = []
     if isinstance(switched, Value):
-        for x in sample_inputs:
+        for x in RICE_SAMPLE_INPUTS:
             samples.append(
                 (x, evaluate(n0, [x], fuel), evaluate(switched.n, [x], fuel))
             )
@@ -437,12 +437,12 @@ def parse_program(text: str) -> Expr:
 def parse_program_or_code(text: str) -> int:
     """A bare numeral is a program index; anything else is a program body."""
     stripped = text.strip()
-    if stripped.lstrip("-").isdigit():
-        code = int(stripped)
-        if code < 0:
-            raise InputError("program index must be a natural number")
-        return code
-    return encode(parse_program(text))
+    code = syntax.NAT.code(stripped.removeprefix("-"))
+    if code is None:
+        return encode(parse_program(text))
+    if code > 0 and stripped[0] == "-":
+        raise InputError("program index must be a natural number")
+    return code
 
 
 def format_program(e: Expr) -> str:

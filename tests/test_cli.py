@@ -396,3 +396,32 @@ def test_deep_nesting_exits_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: input nests too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["universe", "recursion", "--h", "²"],
+        ["universe", "recursion", "--h", "(succ ²)"],
+        ["formal", "curry", "--a", "(P ²)"],
+        ["formal", "curry", "--a", "(P x²)"],
+    ],
+)
+def test_non_decimal_digit_exits_2(argv, capsys):
+    # "²" is a digit to str.isdigit but not a numeral int() reads
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_deep_formula_certifies(capsys):
+    # 10 000 levels: past what the dataclasses' own == compares
+    depth = 10_000
+    a = "(not " * depth + "(P 0)" + ")" * depth
+    code = run_command(["formal", "curry", "--a", a])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verified"] is True
