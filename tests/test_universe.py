@@ -320,3 +320,9 @@ def test_program_notation_errors():
         U.parse_program("(succ)")
     with pytest.raises(InputError):
         U.parse_program("%x")
+    with pytest.raises(InputError):
+        U.parse_program_or_code("-5")
+    # a second minus sign used to reach int() and raise ValueError
+    with pytest.raises(InputError):
+        U.parse_program_or_code("--5")
+    assert U.parse_program_or_code("-0") == 0
