@@ -185,35 +185,36 @@ def _run_body(body: Expr, args: tuple[int, ...], fuel: int) -> Outcome:
                         return Stuck()
                 case Const(value):
                     vals.append(value)
+                case Run(left, right) | Pair(left, right) | Smn(left, right):
+                    work.append((e, env, False))
+                    work.append((right, env, True))
+                    work.append((left, env, True))
                 case Succ(child) | Pred(child) | Fst(child) | Snd(child):
                     work.append((e, env, False))
                     work.append((child, env, True))
                 case IfZero(cond):
                     work.append((e, env, False))
                     work.append((cond, env, True))
-                case Pair(left, right) | Run(left, right) | Smn(left, right):
-                    work.append((e, env, False))
-                    work.append((right, env, True))
-                    work.append((left, env, True))
         else:
+            # Run first: self-application finishes a Run at every turn
             match e:
+                case Run():
+                    x = vals.pop()
+                    work.append((decode(vals.pop()), (x,), True))
+                case IfZero(_, then, other):
+                    work.append((then if vals.pop() == 0 else other, env, True))
                 case Succ():
                     vals.append(vals.pop() + 1)
                 case Pred():
                     v = vals.pop()
                     vals.append(v - 1 if v > 0 else 0)
-                case IfZero(_, then, other):
-                    work.append((then if vals.pop() == 0 else other, env, True))
-                case Pair():
-                    b = vals.pop()
-                    vals.append(pair(vals.pop(), b))
                 case Fst():
                     vals.append(unpair(vals.pop())[0])
                 case Snd():
                     vals.append(unpair(vals.pop())[1])
-                case Run():
-                    x = vals.pop()
-                    work.append((decode(vals.pop()), (x,), True))
+                case Pair():
+                    b = vals.pop()
+                    vals.append(pair(vals.pop(), b))
                 case Smn():
                     y = vals.pop()
                     vals.append(smn_meta(vals.pop(), y))
