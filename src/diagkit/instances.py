@@ -106,13 +106,13 @@ def describes_matrix(m: DescribesMatrix) -> EvalMatrix:
     return EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=m.rel)
 
 
-# a letter other than T, M or F lands outside the value carrier
-_TRI_VALUE = {level: v for v, level in enumerate(TRI_LEVELS)}
-
-
 def tri_valued_matrix(m: TriValuedMatrix) -> EvalMatrix:
     carrier = Carrier(len(m.labels), m.labels)
-    cell = tuple(tuple(_TRI_VALUE.get(v, -1) for v in row) for row in m.table)
+    # a letter other than T, M or F lands outside the value carrier
+    cell = tuple(
+        tuple(TRI_LEVELS.index(v) if v in TRI_LEVELS else -1 for v in row)
+        for row in m.table
+    )
     return EvalMatrix(rows=carrier, cols=carrier, y=TRI_CARRIER, cell=cell)
 
 

@@ -36,6 +36,23 @@ def test_powerset_validation():
         I.SubsetFamily(((0, 1), (0,)))
     with pytest.raises(InputError):
         I.SubsetFamily(((0, 2), (0, 0)))
+    with pytest.raises(InputError):
+        I.SubsetFamily(((0, "1"), (0, 0)))
+    with pytest.raises(InputError):
+        I.SubsetFamily(())
+
+
+def test_table_validation():
+    with pytest.raises(InputError):
+        I.DescribesMatrix(("a", "a"), ((0, 0), (0, 0)))
+    with pytest.raises(InputError):
+        I.DescribesMatrix(("a", "b"), ((0, 1),))
+    with pytest.raises(InputError):
+        I.TriValuedMatrix(("a",), (("Q",),))
+    with pytest.raises(InputError):
+        I.TriValuedMatrix(("a",), (([1],),))
+    with pytest.raises(InputError):
+        I.DigitMatrix(("a", "b"), ((0, 10), (0, 0)))
 
 
 def grelling_table():
