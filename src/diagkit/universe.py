@@ -14,6 +14,7 @@ are fuel-bounded approximations of the exact halting sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from . import syntax
@@ -138,6 +139,13 @@ def encode(e: Expr) -> int:
     return PROGRAMS.number(e)
 
 
+# `decode` and `smn_meta` keep this many recent results each. Both are pure,
+# charge no fuel and return immutable values, so the memo changes no outcome;
+# self-application decodes and specializes the same few codes at every turn.
+MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def decode(n: int) -> Expr:
     """Total inverse of `encode`: every natural number is a program body."""
     return PROGRAMS.denumber(n)
@@ -221,6 +229,7 @@ def _run_body(body: Expr, args: tuple[int, ...], fuel: int) -> Outcome:
     return Value(vals.pop())
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def smn_meta(p: int, y: int) -> int:
     """Specialize a binary body to its first argument.
 

@@ -3,6 +3,7 @@
 import random
 
 from diagkit.universe import (
+    OMEGA,
     Const,
     Fst,
     IfZero,
@@ -14,6 +15,7 @@ from diagkit.universe import (
     Succ,
     Value,
     Var,
+    encode,
 )
 
 _UNARY = (Succ, Pred, Fst, Snd)
@@ -77,6 +79,38 @@ def random_total_unary(rng: random.Random, depth: int):
         random_total_unary(rng, depth - 1),
         random_total_unary(rng, depth - 1),
     )
+
+
+def random_self_applying(rng: random.Random, depth: int):
+    """A unary body that may run its argument; no Pair or Smn, so values stay small."""
+    if depth == 0 or rng.random() < 0.25:
+        return Var(1) if rng.random() < 0.6 else Const(rng.randint(0, 9))
+    roll = rng.random()
+    if roll < 0.35:
+        return rng.choice(_UNARY)(random_self_applying(rng, depth - 1))
+    if roll < 0.75:
+        return Run(
+            random_self_applying(rng, depth - 1), random_self_applying(rng, depth - 1)
+        )
+    return IfZero(*(random_self_applying(rng, depth - 1) for _ in range(3)))
+
+
+def cost_model_cases():
+    """The 501 seeded (code, args) pairs whose least fuel the cost model pins."""
+    rng = random.Random(20260305)
+    cases = [(OMEGA, [OMEGA])]
+    for _ in range(300):
+        body = random_tree(rng, rng.randint(1, 3))
+        # some arguments are codes of small programs, so Run enters real bodies
+        args = [
+            encode(random_tree(rng, 2)) if rng.random() < 0.5 else rng.randint(0, 5)
+            for _ in range(rng.randint(0, 2))
+        ]
+        cases.append((encode(body), args))
+    for _ in range(200):
+        code = encode(random_self_applying(rng, rng.randint(1, 4)))
+        cases.append((code, [code]))
+    return cases
 
 
 def outcomes_agree(a, b) -> bool:

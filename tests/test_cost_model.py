@@ -7,15 +7,13 @@ at which a program stops diverging is therefore fixed exactly, not only up to
 monotonicity.
 """
 
-import random
-
 import pytest
 
-from helpers import random_tree
+from helpers import cost_model_cases
 
-from diagkit.syntax import pair, unpair
+from diagkit.syntax import pair, rewrite, unpair
 from diagkit.universe import (
-    OMEGA,
+    PROGRAMS,
     Const,
     Diverged,
     Fst,
@@ -29,13 +27,25 @@ from diagkit.universe import (
     Succ,
     Value,
     Var,
-    decode,
     encode,
     evaluate,
     smn_meta,
 )
 
 FUEL_CAP = 256
+
+
+# The reference decodes and specializes through the sort table, not through
+# `universe.decode`/`smn_meta`, so it shares none of their memo.
+def reference_smn(p: int, y: int) -> int:
+    """Var 1 becomes Const y and Var 2 becomes Var 1; other nodes are kept."""
+
+    def specialize(e):
+        if isinstance(e, Var) and e.index in (1, 2):
+            return Const(y) if e.index == 1 else Var(1)
+        return None
+
+    return PROGRAMS.number(rewrite(PROGRAMS.denumber(p), specialize))
 
 
 class _Halt(Exception):
@@ -75,10 +85,10 @@ def reference(body, args, fuel: int):
             case Run(prog, arg):
                 code = visit(prog, env)
                 x = visit(arg, env)
-                return visit(decode(code), (x,))
+                return visit(PROGRAMS.denumber(code), (x,))
             case Smn(prog, arg):
                 code = visit(prog, env)
-                return smn_meta(code, visit(arg, env))
+                return reference_smn(code, visit(arg, env))
 
     try:
         return Value(visit(body, tuple(args)))
@@ -119,39 +129,10 @@ def test_least_fuel_examples(body, args, fuel, outcome):
     assert least_fuel(code, args) == fuel
 
 
-def _self_applying(rng: random.Random, depth: int):
-    """A unary body that may run its argument; no Pair or Smn, so values stay small."""
-    if depth == 0 or rng.random() < 0.25:
-        return Var(1) if rng.random() < 0.6 else Const(rng.randint(0, 9))
-    roll = rng.random()
-    if roll < 0.35:
-        return rng.choice((Succ, Pred, Fst, Snd))(_self_applying(rng, depth - 1))
-    if roll < 0.75:
-        return Run(_self_applying(rng, depth - 1), _self_applying(rng, depth - 1))
-    return IfZero(*(_self_applying(rng, depth - 1) for _ in range(3)))
-
-
-def _cases():
-    rng = random.Random(20260305)
-    cases = [(OMEGA, [OMEGA])]
-    for _ in range(300):
-        body = random_tree(rng, rng.randint(1, 3))
-        # some arguments are codes of small programs, so Run enters real bodies
-        args = [
-            encode(random_tree(rng, 2)) if rng.random() < 0.5 else rng.randint(0, 5)
-            for _ in range(rng.randint(0, 2))
-        ]
-        cases.append((encode(body), args))
-    for _ in range(200):
-        code = encode(_self_applying(rng, rng.randint(1, 4)))
-        cases.append((code, [code]))
-    return cases
-
-
 def test_least_fuel_matches_reference():
-    for code, args in _cases():
+    for code, args in cost_model_cases():
         k = least_fuel(code, args)
-        body = decode(code)
+        body = PROGRAMS.denumber(code)
         if k > FUEL_CAP:
             assert evaluate(code, args, FUEL_CAP) == Diverged()
             assert reference(body, args, FUEL_CAP) == Diverged()

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import outcomes_agree, random_safe_binary, random_total_unary, random_tree
+from helpers import (
+    cost_model_cases,
+    outcomes_agree,
+    random_safe_binary,
+    random_total_unary,
+    random_tree,
+)
 
 from diagkit import universe as U
 from diagkit.errors import InputError
@@ -294,6 +300,45 @@ def test_bounded_halting_matrix_omega_cell_rule():
 def test_bounded_halting_matrix_size_validation():
     with pytest.raises(InputError):
         U.bounded_halting_matrix(0, 10)
+
+
+def _clear_memo():
+    U.decode.cache_clear()
+    U.smn_meta.cache_clear()
+
+
+def test_memo_stays_bounded():
+    _clear_memo()
+    for n in range(3 * U.MEMO_SIZE):
+        evaluate(n, [n], 8)
+        smn_meta(n, 7)
+    for memo in (U.decode, U.smn_meta):
+        info = memo.cache_info()
+        assert info.maxsize == U.MEMO_SIZE
+        assert info.misses >= 3 * U.MEMO_SIZE
+        assert info.currsize <= info.maxsize
+
+
+def test_memo_cold_and_warm_give_the_same_outcomes():
+    for code, args in cost_model_cases():
+        for fuel in (16, 256):
+            _clear_memo()
+            cold = evaluate(code, args, fuel)
+            assert evaluate(code, args, fuel) == cold, (code, args, fuel)
+    assert U.decode.cache_info().hits > 0
+
+
+def test_bounded_halting_matrix_cycles_through_more_programs_than_the_memo():
+    n, fuel = U.MEMO_SIZE + 16, 6
+    bodies = [U.PROGRAMS.denumber(j) for j in range(n)]
+    want = tuple(
+        tuple(
+            1 if isinstance(U.evaluate_body(body, [i], fuel), Value) else 0
+            for body in bodies
+        )
+        for i in range(n)
+    )
+    assert U.bounded_halting_matrix(n, fuel).rel == want
 
 
 def test_program_notation_roundtrip():
