@@ -102,9 +102,14 @@ def _require(data: dict, field: str, kind: type) -> Any:
     return value
 
 
+def _all_ints(values: list) -> bool:
+    # by type, not isinstance: JSON true is a bool, which is an int subclass
+    return {int}.issuperset(map(type, values))
+
+
 def _int_list(data: dict, field: str) -> tuple[int, ...]:
     value = _require(data, field, list)
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in value):
+    if not _all_ints(value):
         raise InputError(f"field {field!r} must contain integers")
     return tuple(value)
 
@@ -154,6 +159,10 @@ def load_matrix_file(
     cell = _require(data, "f", list)
     if any(not isinstance(row, list) for row in cell):
         raise InputError("field 'f' must be a list of rows")
+    # EvalMatrix checks only each cell's range, which 0.5 and true pass; the
+    # type is checked here, where the JSON comes in, to keep that loop short
+    if not all(map(_all_ints, cell)):
+        raise InputError("field 'f' must contain integers")
     try:
         f = core.EvalMatrix(rows=rows, cols=cols, y=y, cell=tuple(tuple(r) for r in cell))
     except InputError as exc:

@@ -279,6 +279,16 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
     assert field.split("_")[0] in err or "field" in err
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_diagonal_non_integer_cell_exits_2(tmp_path, capsys, bad):
+    # 0.5 and 1.0 pass the range check on cells, and true reads as 1
+    data = dict(GRELLING_FILE, f=[[bad, 0, 0, 1]] + GRELLING_FILE["f"][1:])
+    code = run_command(["diagonal", "--input", write_matrix(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "field 'f'" in err
+
+
 def test_diagonal_missing_file_exits_2(capsys):
     code = run_command(["diagonal", "--input", "/no/such/file.json"])
     capsys.readouterr()
