@@ -151,8 +151,10 @@ def load_matrix_file(
     except InputError as exc:
         raise InputError(f"bad carrier labels: {exc}") from exc
 
+    # the lists are read outside the try blocks: their errors name the field already
+    alpha_images = _int_list(data, "alpha")
     try:
-        alpha = core.EndoMap(y, _int_list(data, "alpha"))
+        alpha = core.EndoMap(y, alpha_images)
     except InputError as exc:
         raise InputError(f"field 'alpha': {exc}") from exc
 
@@ -172,8 +174,9 @@ def load_matrix_file(
     if want_section:
         if "beta" not in data or "beta_bar" not in data:
             raise InputError("--section requires fields 'beta' and 'beta_bar'")
+        beta, beta_bar = _int_list(data, "beta"), _int_list(data, "beta_bar")
         try:
-            section = core.Section(_int_list(data, "beta"), _int_list(data, "beta_bar"))
+            section = core.Section(beta, beta_bar)
         except InputError as exc:
             raise InputError(f"fields 'beta'/'beta_bar': {exc}") from exc
         if len(section.beta) != rows.size:
@@ -265,30 +268,9 @@ def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
     if args.construction == "recursion":
         h = universe.parse_program_or_code(args.transformer)
-        n0 = universe.recursion_fixed_point(h)
-        transformed = universe.evaluate(h, [n0], RECURSION_FUEL)
-        samples = []
-        ok = isinstance(transformed, universe.Value)
-        if ok:
-            target = transformed.n
-            for x in RECURSION_SAMPLE_INPUTS:
-                fuel = RECURSION_FUEL
-                left = universe.evaluate(n0, [x], fuel)
-                right = universe.evaluate(target, [x], fuel)
-                if left != right:
-                    fuel = RECURSION_RETRY_FUEL
-                    left = universe.evaluate(n0, [x], fuel)
-                    right = universe.evaluate(target, [x], fuel)
-                agree = (left == right) if isinstance(left, universe.Value) or isinstance(right, universe.Value) else True
-                ok = ok and agree
-                samples.append(
-                    {
-                        "input": x,
-                        "fixed_point": _outcome_json(left, fuel),
-                        "transformed": _outcome_json(right, fuel),
-                        "agree": agree,
-                    }
-                )
+        n0, transformed, samples = universe.recursion_check(
+            h, RECURSION_FUEL, (RECURSION_FUEL, RECURSION_RETRY_FUEL), RECURSION_SAMPLE_INPUTS
+        )
         payload = {
             "kind": "recursion-fixed-point",
             "transformer": h,
@@ -296,8 +278,17 @@ def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
             "n0": n0,
             "n0_program": universe.format_program(universe.decode(n0)),
             "transformed_index": _outcome_json(transformed, RECURSION_FUEL),
-            "samples": samples,
+            "samples": [
+                {
+                    "input": x,
+                    "fixed_point": _outcome_json(left, fuel),
+                    "transformed": _outcome_json(right, fuel),
+                    "agree": universe.agree(left, right),
+                }
+                for x, left, right, fuel in samples
+            ],
         }
+        ok = universe.verify_recursion(transformed, samples)
         return _args_inputs({"construction": "recursion", "h": h}), payload, ok
 
     if args.construction == "refute-halt":
@@ -312,14 +303,8 @@ def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
             "verdict": witness.verdict,
             "fuel": witness.fuel,
         }
-        ok = universe.verify_refutation(witness)
-        return (
-            _args_inputs(
-                {"construction": "refute-halt", "candidate": candidate, "fuel": args.fuel}
-            ),
-            payload,
-            ok,
-        )
+        echo = {"construction": "refute-halt", "candidate": candidate, "fuel": args.fuel}
+        return _args_inputs(echo), payload, universe.verify_refutation(witness)
 
     if args.construction == "rice":
         decider = universe.parse_program_or_code(args.decider)
@@ -347,20 +332,8 @@ def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
             "verdict": report.verdict,
             "fuel": args.fuel,
         }
-        ok = universe.verify_rice(report)
-        return (
-            _args_inputs(
-                {
-                    "construction": "rice",
-                    "decider": decider,
-                    "a": a,
-                    "b": b,
-                    "fuel": args.fuel,
-                }
-            ),
-            payload,
-            ok,
-        )
+        echo = {"construction": "rice", "decider": decider, "a": a, "b": b, "fuel": args.fuel}
+        return _args_inputs(echo), payload, universe.verify_rice(report)
 
     # halt-matrix
     m = universe.bounded_halting_matrix(args.n, args.fuel)
@@ -375,11 +348,8 @@ def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         "diagonal_language": [i for i, bit in enumerate(het) if bit == 1],
         "non_representability": inner,
     }
-    return (
-        _args_inputs({"construction": "halt-matrix", "n": args.n, "fuel": args.fuel}),
-        payload,
-        ok,
-    )
+    echo = {"construction": "halt-matrix", "n": args.n, "fuel": args.fuel}
+    return _args_inputs(echo), payload, ok
 
 
 def _cmd_formal(args: argparse.Namespace) -> tuple[dict, dict, bool]:

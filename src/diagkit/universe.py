@@ -159,25 +159,19 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     nested `Run` calls draw on the same budget. Fuel must be a natural
     number; fuel 0 is Diverged at once.
     """
-    # the run loop counts fuel down to 0: a negative budget would never run out
-    if fuel < 0:
-        raise InputError(f"fuel must be a natural number, got {fuel}")
-    return _run_body(decode(p), tuple(args), fuel)
+    return evaluate_body(decode(p), args, fuel)
 
 
 def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
     """Like `evaluate` but starting from an already-decoded body."""
+    # the run loop counts fuel down to 0: a negative budget would never run out
     if fuel < 0:
         raise InputError(f"fuel must be a natural number, got {fuel}")
-    return _run_body(body, tuple(args), fuel)
-
-
-def _run_body(body: Expr, args: tuple[int, ...], fuel: int) -> Outcome:
     # explicit work/value stacks: self-application must not grow the host stack.
     # A work item is (node, env, visit). A visit pays one unit of fuel and
     # pushes the node back to be finished once its children are visited; a
     # finish combines the children's values.
-    work: list = [(body, args, True)]
+    work: list = [(body, tuple(args), True)]
     vals: list[int] = []
     while work:
         e, env, visit = work.pop()
@@ -271,6 +265,41 @@ def quine() -> int:
     """
     s_transformer = encode(Smn(Const(10), Var(1)))
     return recursion_fixed_point(s_transformer)
+
+
+def agree(left: Outcome, right: Outcome) -> bool:
+    """Equal values, or neither side a value: non-values are bounded evidence."""
+    if isinstance(left, Value) or isinstance(right, Value):
+        return left == right
+    return True
+
+
+def recursion_check(
+    h: int, fuel: int, fuels: Sequence[int], inputs: Sequence[int]
+) -> tuple[int, Outcome, tuple[tuple[int, Outcome, Outcome, int], ...]]:
+    """The fixed point n0 of h, h's answer on n0 at `fuel`, and samples.
+
+    A sample (x, phi_n0(x), phi_h(n0)(x), at) is run at the first fuel `at`
+    in `fuels` where the two sides are equal, else at the last. There are no
+    samples when h gives no index on n0.
+    """
+    n0 = recursion_fixed_point(h)
+    transformed = evaluate(h, [n0], fuel)
+    samples = []
+    if isinstance(transformed, Value):
+        for x in inputs:
+            for at in fuels:
+                left = evaluate(n0, [x], at)
+                right = evaluate(transformed.n, [x], at)
+                if left == right:
+                    break
+            samples.append((x, left, right, at))
+    return n0, transformed, tuple(samples)
+
+
+def verify_recursion(transformed: Outcome, samples: Sequence[tuple]) -> bool:
+    """h gave an index, and on every sample (x, left, right, ..) the sides agree."""
+    return isinstance(transformed, Value) and all(agree(s[1], s[2]) for s in samples)
 
 
 @dataclass(frozen=True)
@@ -371,24 +400,25 @@ _SWITCH_ALLOWANCE = 5
 RICE_SAMPLE_INPUTS = (0, 1, 2, 3)
 
 
-def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
-    """Build the self-defeating fixed point for a claimed property decider."""
-    h_body = IfZero(Run(Const(decider), Var(1)), Const(a), Const(b))
-    n0 = recursion_fixed_point(encode(h_body))
-    answer = evaluate(decider, [n0], fuel)
-    switched = evaluate_body(h_body, [n0], fuel + _SWITCH_ALLOWANCE)
-    samples = []
-    if isinstance(switched, Value):
-        for x in RICE_SAMPLE_INPUTS:
-            samples.append(
-                (x, evaluate(n0, [x], fuel), evaluate(switched.n, [x], fuel))
-            )
+def _rice_verdict(answer: Outcome) -> str:
     if not isinstance(answer, Value):
-        verdict = RiceReport.DECIDER_NOT_TOTAL
-    elif answer.n != 0:
-        verdict = RiceReport.SAYS_MEMBER_BUT_ACTS_OUTSIDE
-    else:
-        verdict = RiceReport.SAYS_NONMEMBER_BUT_ACTS_INSIDE
+        return RiceReport.DECIDER_NOT_TOTAL
+    if answer.n != 0:
+        return RiceReport.SAYS_MEMBER_BUT_ACTS_OUTSIDE
+    return RiceReport.SAYS_NONMEMBER_BUT_ACTS_INSIDE
+
+
+def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
+    """Build the self-defeating fixed point for a claimed property decider.
+
+    It is the recursion check of the switch body, sampled at `fuel`, plus the
+    decider's own answer on the fixed point.
+    """
+    h = encode(IfZero(Run(Const(decider), Var(1)), Const(a), Const(b)))
+    n0, switched, samples = recursion_check(
+        h, fuel + _SWITCH_ALLOWANCE, (fuel,), RICE_SAMPLE_INPUTS
+    )
+    answer = evaluate(decider, [n0], fuel)
     return RiceReport(
         decider=decider,
         a=a,
@@ -396,8 +426,8 @@ def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
         n0=n0,
         decider_answer=answer,
         switched_to=switched,
-        samples=tuple(samples),
-        verdict=verdict,
+        samples=tuple((x, left, right) for x, left, right, _ in samples),
+        verdict=_rice_verdict(answer),
         fuel=fuel,
     )
 
@@ -405,23 +435,14 @@ def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
 def verify_rice(report: RiceReport) -> bool:
     """Verdict must match the recorded answer and the probe must track its target."""
     answer = report.decider_answer
-    if report.verdict == RiceReport.DECIDER_NOT_TOTAL:
-        return not isinstance(answer, Value)
-    if not isinstance(answer, Value) or not isinstance(report.switched_to, Value):
+    if report.verdict != _rice_verdict(answer):
         return False
-    expected = report.b if answer.n != 0 else report.a
-    if report.switched_to.n != expected:
-        return False
-    if report.verdict == RiceReport.SAYS_MEMBER_BUT_ACTS_OUTSIDE and answer.n == 0:
-        return False
-    if report.verdict == RiceReport.SAYS_NONMEMBER_BUT_ACTS_INSIDE and answer.n != 0:
-        return False
-    # the probe must agree with the program it switched to on every sample
-    for _, got, want in report.samples:
-        if isinstance(got, Value) or isinstance(want, Value):
-            if got != want:
-                return False
-    return True
+    if not isinstance(answer, Value):
+        return True
+    target = report.b if answer.n != 0 else report.a
+    return report.switched_to == Value(target) and verify_recursion(
+        report.switched_to, report.samples
+    )
 
 
 def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
@@ -432,10 +453,12 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     """
     if n < 1:
         raise InputError("matrix size must be at least 1")
-    rel = tuple(
-        tuple(1 if isinstance(evaluate(j, [i], fuel), Value) else 0 for j in range(n))
-        for i in range(n)
-    )
+    # column by column, so that each program's code stays in the decode memo
+    cols = [
+        [1 if isinstance(evaluate(j, [i], fuel), Value) else 0 for i in range(n)]
+        for j in range(n)
+    ]
+    rel = tuple(zip(*cols))
     return DescribesMatrix(labels=tuple(str(i) for i in range(n)), rel=rel)
 
 

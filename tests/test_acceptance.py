@@ -43,7 +43,7 @@ from diagkit.universe import (
     encode,
     evaluate,
     quine,
-    recursion_fixed_point,
+    recursion_check,
     refute_halting,
     smn_meta,
 )
@@ -225,19 +225,12 @@ def test_criterion_07_recursion_theorem():
     failures = 0
     for _ in range(25):
         h = encode(random_total_unary(rng, 3))
-        n0 = recursion_fixed_point(h)
-        transformed = evaluate(h, [n0], 10**6)
+        # each sample is retried at 10**6 unless the two sides are equal at 10**5
+        _, transformed, samples = recursion_check(h, 10**6, (10**5, 10**6), range(6))
         if not isinstance(transformed, Value):
             failures += 1
             continue
-        for x in range(6):
-            left = evaluate(n0, [x], 10**5)
-            right = evaluate(transformed.n, [x], 10**5)
-            if not outcomes_agree(left, right):
-                left = evaluate(n0, [x], 10**6)
-                right = evaluate(transformed.n, [x], 10**6)
-            if not outcomes_agree(left, right):
-                failures += 1
+        failures += sum(not outcomes_agree(left, right) for _, left, right, _ in samples)
     check(7, "recursion theorem on 25 generated total transformers", failures == 0, f"failures={failures}")
 
 

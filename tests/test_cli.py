@@ -260,6 +260,10 @@ def test_diagonal_rejects_fixed_point_alpha(tmp_path, capsys):
     assert code == 1  # hypothesis violated: not applicable
 
 
+# the fragment each case's stderr must contain
+MALFORMED_FRAGMENTS = {"alpha": "field 'alpha'", "f": "field 'f'", "labels": "carrier labels"}
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -276,7 +280,30 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
     code = run_command(["diagonal", "--input", write_matrix(tmp_path, data)])
     err = capsys.readouterr().err
     assert code == 2
-    assert field.split("_")[0] in err or "field" in err
+    assert MALFORMED_FRAGMENTS[field] in err
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d.pop("alpha"), "missing field 'alpha'"),
+        (lambda d: d.update(alpha="nope"), "field 'alpha' must be a list"),
+        (lambda d: d.update(alpha=[1, 7]), "field 'alpha': endomap sends 1 outside the carrier"),
+        (lambda d: d.update(beta=[0, "x", 0, 1]), "field 'beta' must contain integers"),
+        (lambda d: d.pop("beta_bar"), "--section requires fields 'beta' and 'beta_bar'"),
+        (
+            lambda d: d.update(beta=[0, 9, 0, 1]),
+            "fields 'beta'/'beta_bar': beta[1] lies outside the column carrier",
+        ),
+    ],
+    ids=["alpha-missing", "alpha-not-list", "alpha-range", "beta-type", "beta-bar-missing", "beta-range"],
+)
+def test_matrix_file_errors_name_their_field_once(tmp_path, capsys, mutate, message):
+    data = dict(GRELLING_FILE, beta=[0, 1, 2, 3], beta_bar=[0, 1, 2, 3])
+    mutate(data)
+    code = run_command(["diagonal", "--input", write_matrix(tmp_path, data), "--section"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True])

@@ -1,5 +1,6 @@
 """Toy computable universe: numbering, interpreter, and fixed points."""
 
+import dataclasses
 import random
 
 import pytest
@@ -209,16 +210,47 @@ def test_recursion_on_generated_total_transformers():
     rng = random.Random(0xF1D0)
     for _ in range(10):
         h = encode(random_total_unary(rng, 3))
-        n0 = recursion_fixed_point(h)
-        transformed = evaluate(h, [n0], 10**6)
+        _, transformed, samples = U.recursion_check(h, 10**6, (10**5, 10**6), range(3))
         assert isinstance(transformed, Value)
-        for x in range(3):
-            left = evaluate(n0, [x], 10**5)
-            right = evaluate(transformed.n, [x], 10**5)
-            if not outcomes_agree(left, right):
-                left = evaluate(n0, [x], 10**6)
-                right = evaluate(transformed.n, [x], 10**6)
+        assert [x for x, *_ in samples] == [0, 1, 2]
+        for _, left, right, _ in samples:
             assert outcomes_agree(left, right)
+
+
+def test_recursion_check_retries_at_the_next_fuel_until_the_sides_are_equal():
+    # h always answers 71, the constant-7 program: one step gives its value,
+    # while the fixed point needs many more
+    h = encode(Const(71))
+    n0, transformed, samples = U.recursion_check(h, 1, (1, 10**5), [0, 4])
+    assert n0 == recursion_fixed_point(h)
+    assert transformed == Value(71)
+    assert samples == ((0, Value(7), Value(7), 10**5), (4, Value(7), Value(7), 10**5))
+    assert U.verify_recursion(transformed, samples)
+    _, _, short = U.recursion_check(h, 1, (1,), [0])
+    assert short == ((0, Diverged(), Value(7), 1),)
+    assert not U.verify_recursion(transformed, short)
+
+
+def test_recursion_check_takes_no_samples_without_a_transformed_index():
+    _, transformed, samples = U.recursion_check(OMEGA, 100, (100,), [0, 1])
+    assert transformed == Diverged() and samples == ()
+    assert not U.verify_recursion(transformed, samples)
+
+
+@pytest.mark.parametrize(
+    "left,right,want",
+    [
+        (Value(3), Value(3), True),
+        (Value(3), Value(4), False),
+        (Value(3), Diverged(), False),
+        (Stuck(), Value(0), False),
+        (Diverged(), Stuck(), True),
+        (Diverged(), Diverged(), True),
+    ],
+)
+def test_agree_is_equal_values_or_two_non_values(left, right, want):
+    assert U.agree(left, right) is want
+    assert outcomes_agree(left, right) is want
 
 
 def test_quine_reproduces_itself():
@@ -282,6 +314,21 @@ def test_rice_nontotal_decider():
     assert U.verify_rice(report)
 
 
+@pytest.mark.parametrize("decider", [11, encode(Const(0)), OMEGA])
+def test_verify_rice_rejects_any_other_verdict(decider):
+    report = U.rice_contradiction(decider, 1, OMEGA, 10**4)
+    assert U.verify_rice(report)
+    verdicts = (
+        U.RiceReport.SAYS_MEMBER_BUT_ACTS_OUTSIDE,
+        U.RiceReport.SAYS_NONMEMBER_BUT_ACTS_INSIDE,
+        U.RiceReport.DECIDER_NOT_TOTAL,
+        "Bogus",
+    )
+    for verdict in verdicts:
+        if verdict != report.verdict:
+            assert not U.verify_rice(dataclasses.replace(report, verdict=verdict))
+
+
 def test_bounded_halting_matrix_columns():
     m = U.bounded_halting_matrix(12, 64)
     # the projection (code 10) and the constant-0 program (code 1) always halt
@@ -338,7 +385,10 @@ def test_bounded_halting_matrix_cycles_through_more_programs_than_the_memo():
         )
         for i in range(n)
     )
+    _clear_memo()
     assert U.bounded_halting_matrix(n, fuel).rel == want
+    # filled column by column, each program's code is decoded once
+    assert U.decode.cache_info().misses <= n
 
 
 def test_program_notation_roundtrip():
