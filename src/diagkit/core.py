@@ -49,7 +49,7 @@ class EndoMap:
             raise InputError("endomap must define an image for every carrier element")
         for y, image in enumerate(self.mapping):
             if not 0 <= image < self.carrier.size:
-                raise InputError(f"endomap sends {y} outside the carrier")
+                raise InputError(f"endomap sends {y} to {image}, outside the carrier")
 
 
 @dataclass(frozen=True)

@@ -38,89 +38,6 @@ Formula = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Var:
-    code: int
-
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class Diag:
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Pred:
-    symbol: int
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True)
-class Less:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Not:
-    body: Formula
-
-
-@dataclass(frozen=True)
-class And:
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or:
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class ForAll:
-    var: int
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: int
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Unquote:
-    """The formula spelled by a number; inert until explicitly unquoted."""
-
-    arg: Term
-
-
 # fixed per session: no dynamic interning, numbers are reproducible
 SYMBOLS: dict[str, tuple[int, int]] = {
     "Prov": (0, 2),
@@ -153,28 +70,29 @@ def _unknown_term(text: str, pos: int) -> str:
 
 _VAR = syntax.Scalar(var_name, var_code)
 TERMS = syntax.Sort("term", atom_error=_unknown_term, head_error=_unknown_term)
-TERMS.declare(
-    (Var, None, [_VAR]),
-    (Num, None, [syntax.NAT]),
-    (Diag, "diag", [TERMS]),
-    (Neg, "neg", [TERMS]),
+Var, Num, Diag, Neg = TERMS.declare(
+    ("Var", None, {"code": _VAR}),
+    ("Num", None, {"value": syntax.NAT}),
+    ("Diag", "diag", {"arg": TERMS}),
+    ("Neg", "neg", {"arg": TERMS}),
 )
 FORMULAS = syntax.Sort(
     "formula",
     atom_error=lambda text, pos: f"expected a formula at offset {pos}, found atom {text!r}",
     head_error=lambda word, pos: f"unknown symbol {word!r} at offset {pos}",
 )
-FORMULAS.declare(
-    (Pred, SYMBOLS, [syntax.NAT, syntax.Many(TERMS)]),
-    (Less, "<", [TERMS, TERMS]),
-    (Not, "not", [FORMULAS]),
-    (And, "and", [FORMULAS, FORMULAS]),
-    (Or, "or", [FORMULAS, FORMULAS]),
-    (Imp, "imp", [FORMULAS, FORMULAS]),
-    (Iff, "iff", [FORMULAS, FORMULAS]),
-    (ForAll, "forall", [_VAR, FORMULAS]),
-    (Exists, "exists", [_VAR, FORMULAS]),
-    (Unquote, "unq", [TERMS]),
+Pred, Less, Not, And, Or, Imp, Iff, ForAll, Exists, Unquote = FORMULAS.declare(
+    ("Pred", SYMBOLS, {"symbol": syntax.NAT, "args": syntax.Many(TERMS)}),
+    ("Less", "<", {"left": TERMS, "right": TERMS}),
+    ("Not", "not", {"body": FORMULAS}),
+    ("And", "and", {"left": FORMULAS, "right": FORMULAS}),
+    ("Or", "or", {"left": FORMULAS, "right": FORMULAS}),
+    ("Imp", "imp", {"left": FORMULAS, "right": FORMULAS}),
+    ("Iff", "iff", {"left": FORMULAS, "right": FORMULAS}),
+    ("ForAll", "forall", {"var": _VAR, "body": FORMULAS}),
+    ("Exists", "exists", {"var": _VAR, "body": FORMULAS}),
+    # the formula spelled by a number; inert until explicitly unquoted
+    ("Unquote", "unq", {"arg": TERMS}),
 )
 
 
@@ -194,10 +112,6 @@ def goedel_number(phi: Formula) -> int:
 def formula_of(n: int) -> Formula:
     """Total inverse of `goedel_number`: every natural spells a formula."""
     return FORMULAS.denumber(n)
-
-
-def term_vars(t: Term) -> frozenset[int]:
-    return free_vars(t)
 
 
 def free_vars(phi: Formula) -> frozenset[int]:
@@ -225,7 +139,7 @@ def _subst(phi: Formula, v: int, r: Term) -> Formula:
 
 def substitute(phi: Formula, v: int, t: Term) -> Formula:
     """Replace the free occurrences of v by the closed term t."""
-    if term_vars(t):
+    if free_vars(t):
         raise InputError("substituted term must be closed")
     return _subst(phi, v, t)
 

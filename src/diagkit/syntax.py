@@ -1,11 +1,12 @@
 """One node layer for programs, terms and formulas.
 
 A notation is a `Sort`: a table with one row per constructor, giving its
-dataclass, the head word it prints with and the kind of each field. A row's
-position is its tag and the number of rows is the sort's radix. Numbering,
-printing and reading are derived from the rows, and so are `rewrite` and
-`children`, a structural map and a fold whose callers give only their special
-cases. Every walker recurses one host frame per tree level.
+name, the head word it prints with and each field's name and kind. The row
+makes the constructor's frozen dataclass. A row's position is its tag and the
+number of rows is the sort's radix. Numbering, printing and reading are
+derived from the rows, and so are `rewrite` and `children`, a structural map
+and a fold whose callers give only their special cases. Every walker recurses
+one host frame per tree level.
 
 A node's number is radix * payload + tag. The payload is the right-nested
 Cantor pairing of the field numbers, pair(a, pair(b, c)): a scalar field is
@@ -15,7 +16,8 @@ number. Every natural number is the number of exactly one node.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
+import sys
+from dataclasses import make_dataclass
 from math import isqrt
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -83,16 +85,26 @@ class Many:
         return tuple([self.sort.denumber(c) for c in list_of(n)])
 
 
+def _as_tuples(names: Sequence[str]) -> Callable[[Any], None]:
+    """A `__post_init__` that stores the `Many` fields `names` as tuples."""
+
+    def __post_init__(self: Any) -> None:
+        for name in names:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    return __post_init__
+
+
 class Kind:
     """One row of a sort's table; `slots` pairs each field kind with its name."""
 
-    def __init__(self, sort: Sort, cls: type, head: Any, fields: Sequence[Any]):
+    def __init__(self, sort: Sort, cls: type, head: Any, fields: Mapping[str, Any]):
         self.sort = sort
         self.cls = cls
         self.tag = len(sort.kinds)
         self.head = head
-        self.fields = tuple(fields)
-        self.slots = tuple(zip(self.fields, [f.name for f in dataclass_fields(cls)]))
+        self.fields = tuple(fields.values())
+        self.slots = tuple((field, name) for name, field in fields.items())
         self.symbols = None
         if isinstance(head, Mapping):
             self.symbols = {code: word for word, (code, _) in head.items()}
@@ -129,14 +141,24 @@ class Sort:
         # head word -> (row, fields the word fills, arity, what the arity error says)
         self.heads: dict[str, tuple[Kind, tuple, int, str]] = {}
 
-    def declare(self, *rows: tuple[type, Any, Sequence[Any]]) -> None:
-        """Add rows (dataclass, head, fields); a row's position is its tag.
+    def declare(self, *rows: tuple[str, Any, Mapping[str, Any]]) -> tuple[type, ...]:
+        """Add rows (name, head, {field: kind}) and return their node classes.
 
-        The head is a word; None for a leaf, which prints as its one scalar
-        field; or a symbol table {word: (code, arity)} whose code fills the
-        first field.
+        A row's position is its tag. The head is a word; None for a leaf,
+        which prints as its one scalar field; or a symbol table
+        {word: (code, arity)} whose code fills the first field. Each class is
+        a frozen dataclass with the row's fields in order, `Many` fields
+        stored as tuples, and the caller's module as its `__module__`, as
+        `collections.namedtuple` does.
         """
-        for cls, head, fields in rows:
+        module = sys._getframe(1).f_globals.get("__name__", "__main__")
+        classes = []
+        for name, head, fields in rows:
+            many = [f for f, field in fields.items() if field.__class__ is Many]
+            namespace = {"__post_init__": _as_tuples(many)} if many else {}
+            cls = make_dataclass(name, list(fields), namespace=namespace, frozen=True)
+            cls.__module__ = module
+            classes.append(cls)
             kind = Kind(self, cls, head, fields)
             self.kinds.append(kind)
             self.rows.append((cls, None if head is None else kind.fields))
@@ -150,6 +172,7 @@ class Sort:
             elif head is not None:
                 self.heads[head] = (kind, (), n, f"{n} argument" + "s" * (n != 1))
         self.radix = len(self.kinds)
+        return tuple(classes)
 
     def number(self, node: Any) -> int:
         kind = _kind(node, self)

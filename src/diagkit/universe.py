@@ -28,63 +28,6 @@ Expr = Union[
 
 
 @dataclass(frozen=True)
-class Var:
-    """1-based argument reference; index 0 decodes from code 0 and is Stuck."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Succ:
-    child: Expr
-
-
-@dataclass(frozen=True)
-class Pred:
-    child: Expr
-
-
-@dataclass(frozen=True)
-class IfZero:
-    cond: Expr
-    then: Expr
-    other: Expr
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Fst:
-    child: Expr
-
-
-@dataclass(frozen=True)
-class Snd:
-    child: Expr
-
-
-@dataclass(frozen=True)
-class Run:
-    prog: Expr
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Smn:
-    prog: Expr
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Value:
     n: int
 
@@ -120,17 +63,18 @@ PROGRAMS = syntax.Sort(
     atom_error=_bad_atom,
     head_error=lambda word, pos: f"unknown operator {word!r} at offset {pos}",
 )
-PROGRAMS.declare(
-    (Var, None, [_ARG]),
-    (Const, None, [syntax.NAT]),
-    (Succ, "succ", [PROGRAMS]),
-    (Pred, "pred", [PROGRAMS]),
-    (IfZero, "ifz", [PROGRAMS] * 3),
-    (Pair, "pair", [PROGRAMS] * 2),
-    (Fst, "fst", [PROGRAMS]),
-    (Snd, "snd", [PROGRAMS]),
-    (Run, "run", [PROGRAMS] * 2),
-    (Smn, "smn", [PROGRAMS] * 2),
+Var, Const, Succ, Pred, IfZero, Pair, Fst, Snd, Run, Smn = PROGRAMS.declare(
+    # 1-based argument reference; index 0 decodes from code 0 and is Stuck
+    ("Var", None, {"index": _ARG}),
+    ("Const", None, {"value": syntax.NAT}),
+    ("Succ", "succ", {"child": PROGRAMS}),
+    ("Pred", "pred", {"child": PROGRAMS}),
+    ("IfZero", "ifz", {"cond": PROGRAMS, "then": PROGRAMS, "other": PROGRAMS}),
+    ("Pair", "pair", {"left": PROGRAMS, "right": PROGRAMS}),
+    ("Fst", "fst", {"child": PROGRAMS}),
+    ("Snd", "snd", {"child": PROGRAMS}),
+    ("Run", "run", {"prog": PROGRAMS, "arg": PROGRAMS}),
+    ("Smn", "smn", {"prog": PROGRAMS, "arg": PROGRAMS}),
 )
 
 
@@ -330,6 +274,14 @@ class RefutationWitness:
 _WRAPPER_ALLOWANCE = 7
 
 
+def _halting_verdict(answer: Outcome) -> str:
+    if not isinstance(answer, Value):
+        return RefutationWitness.CANDIDATE_NOT_TOTAL
+    if answer.n == 0:
+        return RefutationWitness.SAID_DIVERGE_BUT_HALTED
+    return RefutationWitness.SAID_HALT_BUT_DIVERGED
+
+
 def refute_halting(candidate: int, fuel: int) -> RefutationWitness:
     """Diagonalize against a claimed binary halting decider.
 
@@ -345,27 +297,23 @@ def refute_halting(candidate: int, fuel: int) -> RefutationWitness:
     c = encode(g_body)
     answer = evaluate(candidate, [c, c], fuel)
     g_run = evaluate(c, [c], fuel + _WRAPPER_ALLOWANCE)
-    if not isinstance(answer, Value):
-        verdict = RefutationWitness.CANDIDATE_NOT_TOTAL
-    elif answer.n == 0:
-        verdict = RefutationWitness.SAID_DIVERGE_BUT_HALTED
-    else:
-        verdict = RefutationWitness.SAID_HALT_BUT_DIVERGED
     return RefutationWitness(
-        g_index=c, candidate_answer=answer, g_run=g_run, verdict=verdict, fuel=fuel
+        g_index=c,
+        candidate_answer=answer,
+        g_run=g_run,
+        verdict=_halting_verdict(answer),
+        fuel=fuel,
     )
 
 
 def verify_refutation(witness: RefutationWitness) -> bool:
-    """Check the verdict is consistent with the two recorded outcomes."""
-    answer, g_run = witness.candidate_answer, witness.g_run
-    if witness.verdict == RefutationWitness.CANDIDATE_NOT_TOTAL:
-        return not isinstance(answer, Value)
-    if witness.verdict == RefutationWitness.SAID_DIVERGE_BUT_HALTED:
-        return answer == Value(0) and g_run == Value(1)
-    if witness.verdict == RefutationWitness.SAID_HALT_BUT_DIVERGED:
-        return isinstance(answer, Value) and answer.n != 0 and g_run == Diverged()
-    return False
+    """The verdict matches the candidate's answer and g did the opposite."""
+    answer = witness.candidate_answer
+    if witness.verdict != _halting_verdict(answer):
+        return False
+    if not isinstance(answer, Value):
+        return True
+    return witness.g_run == (Value(1) if answer.n == 0 else Diverged())
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
     [
         (lambda d: d.pop("alpha"), "missing field 'alpha'"),
         (lambda d: d.update(alpha="nope"), "field 'alpha' must be a list"),
-        (lambda d: d.update(alpha=[1, 7]), "field 'alpha': endomap sends 1 outside the carrier"),
+        (lambda d: d.update(alpha=[1, 7]), "field 'alpha': endomap sends 1 to 7, outside the carrier"),
         (lambda d: d.update(beta=[0, "x", 0, 1]), "field 'beta' must contain integers"),
         (lambda d: d.pop("beta_bar"), "--section requires fields 'beta' and 'beta_bar'"),
         (

@@ -329,6 +329,25 @@ def test_verify_rice_rejects_any_other_verdict(decider):
             assert not U.verify_rice(dataclasses.replace(report, verdict=verdict))
 
 
+@pytest.mark.parametrize("candidate", [encode(Const(1)), encode(Const(0)), OMEGA])
+def test_verify_refutation_rejects_any_other_verdict(candidate):
+    witness = refute_halting(candidate, 4096)
+    assert U.verify_refutation(witness)
+    verdicts = (
+        U.RefutationWitness.SAID_HALT_BUT_DIVERGED,
+        U.RefutationWitness.SAID_DIVERGE_BUT_HALTED,
+        U.RefutationWitness.CANDIDATE_NOT_TOTAL,
+        "Bogus",
+    )
+    for verdict in verdicts:
+        if verdict != witness.verdict:
+            assert not U.verify_refutation(dataclasses.replace(witness, verdict=verdict))
+    # g must have done the opposite of what the candidate answered
+    if isinstance(witness.candidate_answer, Value):
+        wrong = Diverged() if witness.g_run == Value(1) else Value(1)
+        assert not U.verify_refutation(dataclasses.replace(witness, g_run=wrong))
+
+
 def test_bounded_halting_matrix_columns():
     m = U.bounded_halting_matrix(12, 64)
     # the projection (code 10) and the constant-0 program (code 1) always halt
