@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 from typing import Any, Optional
 
-from . import core, formal, instances, syntax, universe
+from . import core, formal, instances, universe
 from .errors import InputError, NotApplicableError
 
 QUINE_FUEL = 10**6
@@ -31,10 +31,6 @@ NONRE_FUEL = 32
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_args(obj: Any) -> str:
-    return _sha256_bytes(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _outcome_json(outcome: universe.Outcome, fuel: int) -> dict:
@@ -51,19 +47,17 @@ def _outcome_json(outcome: universe.Outcome, fuel: int) -> dict:
 def _witness_json(
     f: core.EvalMatrix, report: core.NonRepresentabilityReport
 ) -> list[dict]:
-    rows = []
-    for s, t in enumerate(report.witness_rows):
-        rows.append(
-            {
-                "column": s,
-                "column_label": f.cols.label(s),
-                "row": t,
-                "row_label": f.rows.label(t),
-                "g_value": report.g.values[t],
-                "cell_value": f.cell[t][s],
-            }
-        )
-    return rows
+    return [
+        {
+            "column": s,
+            "column_label": f.cols.label(s),
+            "row": t,
+            "row_label": f.rows.label(t),
+            "g_value": report.g.values[t],
+            "cell_value": f.cell[t][s],
+        }
+        for s, t in enumerate(report.witness_rows)
+    ]
 
 
 def _nonrep_payload(
@@ -90,7 +84,8 @@ def _bundled_inputs(name: str) -> dict:
 
 
 def _args_inputs(args: dict) -> dict:
-    return {"args": args, "sha256": _sha256_args(args)}
+    data = json.dumps(args, sort_keys=True, separators=(",", ":")).encode()
+    return {"args": args, "sha256": _sha256_bytes(data)}
 
 
 def _require(data: dict, field: str, kind: type) -> Any:
@@ -200,6 +195,14 @@ def _cmd_diagonal(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return inputs, payload, ok
 
 
+def _halting_table(n: int, fuel: int) -> tuple[instances.DescribesMatrix, list[int], dict, bool]:
+    """The fuel-bounded halting table, certified through the relation instance."""
+    m = universe.bounded_halting_matrix(n, fuel)
+    het, report = instances.relation_instance(m)
+    payload, ok = _nonrep_payload(instances.describes_matrix(m), report, "diagonal")
+    return m, [i for i, bit in enumerate(het) if bit == 1], payload, ok
+
+
 def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     which = args.table
     if which == "powerset":
@@ -233,13 +236,8 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         payload["described_reals"] = list(m.labels)
         return _bundled_inputs(src), payload, ok
     # nonre: the fuel-bounded halting table fed back through the relation instance
-    m = universe.bounded_halting_matrix(NONRE_SIZE, NONRE_FUEL)
-    het, report = instances.relation_instance(m)
-    f = instances.describes_matrix(m)
-    payload, ok = _nonrep_payload(f, report, "diagonal")
-    payload["n"] = NONRE_SIZE
-    payload["fuel"] = NONRE_FUEL
-    payload["diagonal_language"] = [i for i, bit in enumerate(het) if bit == 1]
+    _, language, payload, ok = _halting_table(NONRE_SIZE, NONRE_FUEL)
+    payload.update(n=NONRE_SIZE, fuel=NONRE_FUEL, diagonal_language=language)
     payload["note"] = (
         "fuel-bounded approximation: column m is the set of inputs where "
         f"program m halts within {NONRE_FUEL} steps"
@@ -247,134 +245,108 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return _args_inputs({"table": "nonre", "n": NONRE_SIZE, "fuel": NONRE_FUEL}), payload, ok
 
 
-def _cmd_universe(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    if args.construction == "quine":
-        q = universe.quine()
-        checks = []
-        ok = True
-        for x in (0, 1, 2):
-            outcome = universe.evaluate(q, [x], QUINE_FUEL)
-            reproduced = outcome == universe.Value(q)
-            ok = ok and reproduced
-            checks.append({"input": x, "reproduces_itself": reproduced})
-        payload = {
-            "kind": "quine",
-            "index": q,
-            "program": universe.format_program(universe.decode(q)),
-            "fuel": QUINE_FUEL,
-            "self_checks": checks,
-        }
-        return _args_inputs({"construction": "quine"}), payload, ok
+def _cmd_quine(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    q = universe.quine()
+    checks = {x: universe.evaluate(q, [x], QUINE_FUEL) == universe.Value(q) for x in (0, 1, 2)}
+    payload = {
+        "kind": "quine",
+        "index": q,
+        "program": universe.format_program(universe.decode(q)),
+        "fuel": QUINE_FUEL,
+        "self_checks": [{"input": x, "reproduces_itself": ok} for x, ok in checks.items()],
+    }
+    return _args_inputs({"construction": "quine"}), payload, all(checks.values())
 
-    if args.construction == "recursion":
-        h = universe.parse_program_or_code(args.transformer)
-        n0, transformed, samples = universe.recursion_check(
-            h, RECURSION_FUEL, (RECURSION_FUEL, RECURSION_RETRY_FUEL), RECURSION_SAMPLE_INPUTS
-        )
-        payload = {
-            "kind": "recursion-fixed-point",
-            "transformer": h,
-            "n0_digits": len(str(n0)),
-            "n0": n0,
-            "n0_program": universe.format_program(universe.decode(n0)),
-            "transformed_index": _outcome_json(transformed, RECURSION_FUEL),
-            "samples": [
-                {
-                    "input": x,
-                    "fixed_point": _outcome_json(left, fuel),
-                    "transformed": _outcome_json(right, fuel),
-                    "agree": universe.agree(left, right),
-                }
-                for x, left, right, fuel in samples
-            ],
-        }
-        ok = universe.verify_recursion(transformed, samples)
-        return _args_inputs({"construction": "recursion", "h": h}), payload, ok
 
-    if args.construction == "refute-halt":
-        candidate = universe.parse_program_or_code(args.candidate)
-        witness = universe.refute_halting(candidate, args.fuel)
-        payload = {
-            "kind": "halting-refutation",
-            "candidate": candidate,
-            "diagonal_index": witness.g_index,
-            "candidate_answer": _outcome_json(witness.candidate_answer, witness.fuel),
-            "g_run": _outcome_json(witness.g_run, witness.fuel),
-            "verdict": witness.verdict,
-            "fuel": witness.fuel,
-        }
-        echo = {"construction": "refute-halt", "candidate": candidate, "fuel": args.fuel}
-        return _args_inputs(echo), payload, universe.verify_refutation(witness)
+def _cmd_recursion(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    h = universe.parse_program_or_code(args.transformer)
+    n0, transformed, samples = universe.recursion_check(
+        h, RECURSION_FUEL, (RECURSION_FUEL, RECURSION_RETRY_FUEL), RECURSION_SAMPLE_INPUTS
+    )
+    payload = {
+        "kind": "recursion-fixed-point",
+        "transformer": h,
+        "n0_digits": len(str(n0)),
+        "n0": n0,
+        "n0_program": universe.format_program(universe.decode(n0)),
+        "transformed_index": _outcome_json(transformed, RECURSION_FUEL),
+        "samples": [
+            {
+                "input": x,
+                "fixed_point": _outcome_json(left, fuel),
+                "transformed": _outcome_json(right, fuel),
+                "agree": universe.agree(left, right),
+            }
+            for x, left, right, fuel in samples
+        ],
+    }
+    ok = universe.verify_recursion(transformed, samples)
+    return _args_inputs({"construction": "recursion", "h": h}), payload, ok
 
-    if args.construction == "rice":
-        decider = universe.parse_program_or_code(args.decider)
-        a = universe.parse_program_or_code(args.a)
-        b = universe.parse_program_or_code(args.b)
-        report = universe.rice_contradiction(decider, a, b, args.fuel)
-        payload = {
-            "kind": "rice-contradiction",
-            "decider": decider,
-            "a": a,
-            "b": b,
-            "n0_digits": len(str(report.n0)),
-            "n0": report.n0,
-            "n0_program": universe.format_program(universe.decode(report.n0)),
-            "decider_answer": _outcome_json(report.decider_answer, args.fuel),
-            "switched_to": _outcome_json(report.switched_to, args.fuel),
-            "samples": [
-                {
-                    "input": x,
-                    "fixed_point": _outcome_json(left, args.fuel),
-                    "switched": _outcome_json(right, args.fuel),
-                }
-                for x, left, right in report.samples
-            ],
-            "verdict": report.verdict,
-            "fuel": args.fuel,
-        }
-        echo = {"construction": "rice", "decider": decider, "a": a, "b": b, "fuel": args.fuel}
-        return _args_inputs(echo), payload, universe.verify_rice(report)
 
-    # halt-matrix
-    m = universe.bounded_halting_matrix(args.n, args.fuel)
-    het, report = instances.relation_instance(m)
-    f = instances.describes_matrix(m)
-    inner, ok = _nonrep_payload(f, report, "diagonal")
+def _cmd_refute_halt(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    candidate = universe.parse_program_or_code(args.candidate)
+    witness = universe.refute_halting(candidate, args.fuel)
+    payload = {
+        "kind": "halting-refutation",
+        "candidate": candidate,
+        "diagonal_index": witness.g_index,
+        "candidate_answer": _outcome_json(witness.candidate_answer, witness.fuel),
+        "g_run": _outcome_json(witness.g_run, witness.fuel),
+        "verdict": witness.verdict,
+        "fuel": witness.fuel,
+    }
+    echo = {"construction": "refute-halt", "candidate": candidate, "fuel": args.fuel}
+    return _args_inputs(echo), payload, universe.verify_refutation(witness)
+
+
+def _cmd_rice(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    decider = universe.parse_program_or_code(args.decider)
+    a = universe.parse_program_or_code(args.a)
+    b = universe.parse_program_or_code(args.b)
+    report = universe.rice_contradiction(decider, a, b, args.fuel)
+    payload = {
+        "kind": "rice-contradiction",
+        "decider": decider,
+        "a": a,
+        "b": b,
+        "n0_digits": len(str(report.n0)),
+        "n0": report.n0,
+        "n0_program": universe.format_program(universe.decode(report.n0)),
+        "decider_answer": _outcome_json(report.decider_answer, args.fuel),
+        "switched_to": _outcome_json(report.switched_to, args.fuel),
+        "samples": [
+            {
+                "input": x,
+                "fixed_point": _outcome_json(left, args.fuel),
+                "switched": _outcome_json(right, args.fuel),
+            }
+            for x, left, right in report.samples
+        ],
+        "verdict": report.verdict,
+        "fuel": args.fuel,
+    }
+    echo = {"construction": "rice", "decider": decider, "a": a, "b": b, "fuel": args.fuel}
+    return _args_inputs(echo), payload, universe.verify_rice(report)
+
+
+def _cmd_halt_matrix(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    m, language, inner, ok = _halting_table(args.n, args.fuel)
     payload = {
         "kind": "bounded-halting-matrix",
         "n": args.n,
         "fuel": args.fuel,
         "rel": [list(row) for row in m.rel],
-        "diagonal_language": [i for i, bit in enumerate(het) if bit == 1],
+        "diagonal_language": language,
         "non_representability": inner,
     }
     echo = {"construction": "halt-matrix", "n": args.n, "fuel": args.fuel}
     return _args_inputs(echo), payload, ok
 
 
-def _cmd_formal(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    extras: dict[str, Any] = {}
-    if args.sentence == "goedel":
-        cert = formal.goedel_sentence()
-        arg_echo: dict[str, Any] = {"sentence": "goedel"}
-    elif args.sentence == "rosser":
-        cert = formal.rosser_sentence()
-        arg_echo = {"sentence": "rosser"}
-    elif args.sentence == "tarski":
-        cert = formal.tarski_sentence()
-        arg_echo = {"sentence": "tarski"}
-    elif args.sentence == "parikh":
-        cert = formal.parikh_sentence(args.n)
-        arg_echo = {"sentence": "parikh", "n": args.n}
-        extras["bound"] = args.n
-    else:
-        consequent = formal.parse_formula(args.a)
-        cert = formal.curry_sentence(consequent)
-        arg_echo = {"sentence": "curry", "a": formal.format_formula(consequent)}
-        extras["consequent"] = formal.format_formula(consequent)
-        unquoted = formal.unquote_once(cert.reduced)
-        extras["unquoted_once"] = formal.format_formula(unquoted)
-
+def _sentence_report(
+    args: argparse.Namespace, cert: formal.LemmaCertificate, echo: dict, **extras: Any
+) -> tuple[dict, dict, bool]:
     payload = {
         "kind": "diagonal-sentence",
         "name": args.sentence,
@@ -386,20 +358,35 @@ def _cmd_formal(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         "c_number_digits": len(str(cert.c_number)),
         "reduced": formal.format_formula(cert.reduced),
         "target": formal.format_formula(cert.target),
+        **extras,
     }
-    payload.update(extras)
     if args.print_number:
         payload["g_number"] = cert.g_number
         payload["c_number"] = cert.c_number
-    # recompute the certificate identity from scratch before emission
-    ok = (
-        syntax.same(formal.reduce_diag(cert.c), cert.target)
-        and syntax.same(
-            cert.target, formal.substitute(cert.e, cert.variable, formal.Num(cert.c_number))
-        )
-        and cert.verified
-    )
-    return _args_inputs(arg_echo), payload, ok
+    return _args_inputs({"sentence": args.sentence, **echo}), payload, formal.verify_sentence(cert)
+
+
+def _cmd_named_sentence(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    return _sentence_report(args, getattr(formal, f"{args.sentence}_sentence")(), {})
+
+
+def _cmd_parikh(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    return _sentence_report(args, formal.parikh_sentence(args.n), {"n": args.n}, bound=args.n)
+
+
+def _cmd_curry(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    consequent = formal.parse_formula(args.a)
+    cert = formal.curry_sentence(consequent)
+    a = formal.format_formula(consequent)
+    unquoted = formal.format_formula(formal.unquote_once(cert.reduced))
+    return _sentence_report(args, cert, {"a": a}, consequent=a, unquoted_once=unquoted)
+
+
+def _command(sub: Any, name: str, run: Any, **kwargs: Any) -> argparse.ArgumentParser:
+    """Add a subcommand whose parsed arguments carry their handler as `run`."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -409,7 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("diagonal", help="run the diagonal construction on a matrix file")
+    p = _command(
+        sub, "diagonal", _cmd_diagonal, help="run the diagonal construction on a matrix file"
+    )
     p.add_argument("--input", required=True, help="JSON matrix file")
     p.add_argument(
         "--section",
@@ -417,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the off-diagonal form via the file's beta/beta_bar",
     )
 
-    p = sub.add_parser("demo", help="run a bundled demonstration table")
+    p = _command(sub, "demo", _cmd_demo, help="run a bundled demonstration table")
     p.add_argument(
         "table",
         choices=["powerset", "russell", "grelling", "strong-liar", "richard", "nonre"],
@@ -425,32 +414,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("universe", help="toy computable universe constructions")
     usub = p.add_subparsers(dest="construction", required=True)
-    usub.add_parser("quine", help="build and check a self-reproducing program")
-    q = usub.add_parser("recursion", help="fixed point of a total transformer")
+    _command(usub, "quine", _cmd_quine, help="build and check a self-reproducing program")
+    q = _command(usub, "recursion", _cmd_recursion, help="fixed point of a total transformer")
     q.add_argument("--h", dest="transformer", required=True, help="transformer index or program text")
-    q = usub.add_parser("refute-halt", help="diagonalize against a halting decider")
+    q = _command(
+        usub, "refute-halt", _cmd_refute_halt, help="diagonalize against a halting decider"
+    )
     q.add_argument("--candidate", required=True, help="candidate index or program text")
     q.add_argument("--fuel", type=int, default=4096)
-    q = usub.add_parser("rice", help="self-defeating probe for a property decider")
+    q = _command(usub, "rice", _cmd_rice, help="self-defeating probe for a property decider")
     q.add_argument("--decider", required=True)
     q.add_argument("--a", required=True, help="an index inside the claimed class")
     q.add_argument("--b", required=True, help="an index outside the claimed class")
     q.add_argument("--fuel", type=int, default=10000)
-    q = usub.add_parser("halt-matrix", help="fuel-bounded halting table")
+    q = _command(usub, "halt-matrix", _cmd_halt_matrix, help="fuel-bounded halting table")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--fuel", type=int, default=64)
 
     p = sub.add_parser("formal", help="self-referential sentence constructions")
     fsub = p.add_subparsers(dest="sentence", required=True)
     for name in ("goedel", "rosser", "tarski"):
-        q = fsub.add_parser(name)
-        q.add_argument("--print-number", action="store_true")
-    q = fsub.add_parser("parikh")
+        _command(fsub, name, _cmd_named_sentence)
+    q = _command(fsub, "parikh", _cmd_parikh)
     q.add_argument("--n", type=int, required=True, help="proof-length bound")
-    q.add_argument("--print-number", action="store_true")
-    q = fsub.add_parser("curry")
+    q = _command(fsub, "curry", _cmd_curry)
     q.add_argument("--a", required=True, help="closed consequent formula")
-    q.add_argument("--print-number", action="store_true")
+    for q in fsub.choices.values():
+        q.add_argument("--print-number", action="store_true")
 
     return parser
 
@@ -461,18 +451,10 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        if args.command == "diagonal":
-            inputs, payload, ok = _cmd_diagonal(args)
-        elif args.command == "demo":
-            inputs, payload, ok = _cmd_demo(args)
-        elif args.command == "universe":
-            inputs, payload, ok = _cmd_universe(args)
-        else:
-            inputs, payload, ok = _cmd_formal(args)
+        inputs, payload, ok = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,9 +163,13 @@ def _neg_meta(n: int) -> int:
     return goedel_number(Not(formula_of(n)))
 
 
+def _is_redex(node: Any) -> bool:
+    return isinstance(node, (Diag, Neg)) and isinstance(node.arg, Num)
+
+
 def _fire(node: Any) -> Any:
     # a rewritten spot is not re-scanned: only redexes of the input fire
-    if isinstance(node, (Diag, Neg)) and isinstance(node.arg, Num):
+    if _is_redex(node):
         meta = diag_meta if isinstance(node, Diag) else _neg_meta
         return Num(meta(node.arg.value))
     return None
@@ -195,11 +199,11 @@ def unquote_once(phi: Formula) -> Formula:
     return syntax.rewrite(phi, unquote)
 
 
-def _contains_diag_numeral(node: Any) -> bool:
-    if isinstance(node, Diag) and isinstance(node.arg, Num):
+def _contains_redex(node: Any) -> bool:
+    if _is_redex(node):
         return True
     for child in syntax.children(node):
-        if _contains_diag_numeral(child):
+        if _contains_redex(child):
             return True
     return False
 
@@ -227,15 +231,15 @@ def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
     """Close E over its single free variable v into a self-referential C.
 
     G is E applied to the diagonalization of its own argument; C is G at G's
-    own number. Requires free(E) = {v} and no diag-on-numeral subterm in E
-    (such a subterm would fire during the check and desynchronize the sides).
+    own number. Requires free(E) = {v} and no diag/neg redex in E (a redex
+    would fire during the check and desynchronize the sides).
     """
     if free_vars(e) != frozenset((v,)):
         raise InputError(
             f"formula must have exactly the designated free variable {var_name(v)!r}"
         )
-    if _contains_diag_numeral(e):
-        raise InputError("formula must not contain a diag applied to a numeral")
+    if _contains_redex(e):
+        raise InputError("formula must not contain a diag or neg applied to a numeral")
     g = _subst(e, v, Diag(Var(v)))
     g_number = goedel_number(g)
     c = _subst(g, v, Num(g_number))
@@ -252,6 +256,16 @@ def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
         reduced=reduced,
         target=target,
         verified=syntax.same(reduced, target),
+    )
+
+
+def verify_sentence(cert: LemmaCertificate) -> bool:
+    """Recheck from scratch that C has c_number and reduces to E at c_number."""
+    return (
+        cert.verified
+        and syntax.same(reduce_diag(cert.c), cert.target)
+        and syntax.same(cert.target, _subst(cert.e, cert.variable, Num(cert.c_number)))
+        and goedel_number(cert.c) == cert.c_number
     )
 
 

@@ -6,6 +6,7 @@ callers can report positions in their own error messages.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,23 +27,12 @@ class SList:
     pos: int
 
 
+_TOKEN = re.compile(r"[()]|[^()\s]+")
+
+
 def tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            tokens.append((text[start:i], start))
-    return tokens
+    # for str patterns, \s matches exactly the characters where str.isspace() holds
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
 def parse(text: str) -> Node:

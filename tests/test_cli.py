@@ -375,6 +375,16 @@ def test_formal_curry_open_consequent_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("redex", ["diag", "neg"])
+def test_formal_curry_redex_consequent_exits_2(redex, capsys):
+    # reduction would fire the redex on one side of the certificate only
+    code = run_command(["formal", "curry", "--a", f"(P ({redex} 3))"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: formula must not contain a diag or neg applied to a numeral\n"
+
+
 def test_formal_parikh_zero_bound_exits_2(capsys):
     code = run_command(["formal", "parikh", "--n", "0"])
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Formula engine: numbering, substitution, diagonal sentences."""
 
+import dataclasses
 import random
 
 import pytest
@@ -186,8 +187,9 @@ def test_diagonal_sentence_rejects_extra_free_variables():
 
 
 def test_diagonal_sentence_rejects_diag_numeral_subterms():
-    with pytest.raises(InputError):
-        diagonal_sentence(And(p_of(Var(X)), p_of(Diag(Num(4)))), X)
+    for redex in (Diag(Num(4)), Neg(Num(4))):
+        with pytest.raises(InputError):
+            diagonal_sentence(And(p_of(Var(X)), p_of(redex)), X)
 
 
 def test_lemma_identity_on_random_formulas():
@@ -197,6 +199,40 @@ def test_lemma_identity_on_random_formulas():
         cert = diagonal_sentence(e, X)
         assert cert.verified
         assert cert.reduced == substitute(e, X, Num(cert.c_number))
+
+
+NAMED_BUILDERS = {
+    "goedel": F.goedel_sentence,
+    "rosser": F.rosser_sentence,
+    "tarski": F.tarski_sentence,
+    "parikh": lambda: F.parikh_sentence(100),
+    "curry": lambda: F.curry_sentence(F.parse_formula("(Prov 0 0)")),
+}
+
+
+@pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
+def test_verify_sentence_accepts_named_builders(build):
+    assert F.verify_sentence(build())
+
+
+def test_verify_sentence_accepts_random_certificates():
+    rng = random.Random(0xD1A6)
+    for _ in range(60):
+        assert F.verify_sentence(diagonal_sentence(random_formula_with_free_x(rng), X))
+
+
+@pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
+def test_verify_sentence_rejects_each_changed_field(build):
+    cert = build()
+    changes = {
+        "c_number": cert.c_number + 1,
+        "target": Not(cert.target),
+        # a target without a redex reduces to itself: only C's number tells them apart
+        "c": cert.target,
+        "verified": False,
+    }
+    for field, value in changes.items():
+        assert not F.verify_sentence(dataclasses.replace(cert, **{field: value})), field
 
 
 def test_reduce_idempotent_on_diag_only_outputs():
