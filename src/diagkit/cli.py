@@ -2,7 +2,8 @@
 
 Each invocation prints a single JSON report with stable key order: the echoed
 command, a digest of the inputs, the certificate payload, and a verified flag
-that is recomputed from the payload right before emission. Exit status is 0
+that the library's `verify_*` recomputes from the certificate right before
+emission (the quine checks itself on each input it lists). Exit status is 0
 only when the certificate verifies; malformed input, negative fuel and input
 that nests too deeply exit 2; a failed verification or an inapplicable
 construction exits 1. Divergence evidence in any report names the fuel bound
@@ -138,11 +139,7 @@ def load_matrix_file(
     try:
         y = core.Carrier(len(y_labels), y_labels)
         rows = core.Carrier(len(t_labels), t_labels)
-        cols = (
-            rows
-            if s_labels == t_labels
-            else core.Carrier(len(s_labels), s_labels)
-        )
+        cols = core.Carrier(len(s_labels), s_labels)
     except InputError as exc:
         raise InputError(f"bad carrier labels: {exc}") from exc
 
@@ -304,6 +301,8 @@ def _cmd_rice(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     decider = universe.parse_program_or_code(args.decider)
     a = universe.parse_program_or_code(args.a)
     b = universe.parse_program_or_code(args.b)
+    if a == b:
+        raise InputError(f"--a and --b must name different programs, both name {a}")
     report = universe.rice_contradiction(decider, a, b, args.fuel)
     payload = {
         "kind": "rice-contradiction",

@@ -158,14 +158,16 @@ def fixed_points(alpha: EndoMap) -> set[int]:
     return {y for y, image in enumerate(alpha.mapping) if image == y}
 
 
-def compose_diagonal(f: EvalMatrix, alpha: EndoMap) -> YMap:
-    """The diagonal map g(t) = alpha(f(t, t)); f must be square."""
+def _identity_section(f: EvalMatrix) -> Section:
+    """beta = beta_bar = identity: the section form's plain diagonal."""
     if not f.is_square:
         raise InputError("matrix must be square for the diagonal composition")
-    if alpha.carrier != f.y:
-        raise InputError("endomap carrier must match the matrix value carrier")
-    values = tuple(alpha.mapping[f.cell[t][t]] for t in range(f.rows.size))
-    return YMap(f.rows, f.y, values)
+    return Section(range(f.rows.size), range(f.rows.size))
+
+
+def compose_diagonal(f: EvalMatrix, alpha: EndoMap) -> YMap:
+    """The diagonal map g(t) = alpha(f(t, t)); f must be square."""
+    return compose_with_section(f, alpha, _identity_section(f))
 
 
 def compose_with_section(f: EvalMatrix, alpha: EndoMap, sec: Section) -> YMap:
@@ -194,10 +196,10 @@ def representing_columns(g: YMap, f: EvalMatrix) -> set[int]:
 def cantor_witness(
     f: EvalMatrix, alpha: EndoMap, sec: Optional[Section] = None
 ) -> NonRepresentabilityReport:
-    """Construct the diagonal (or section) map and certify it is no column.
+    """Construct the section map (by default the diagonal) and certify it is no column.
 
-    The witness row for column s is the proof's canonical one: t = s in the
-    diagonal form, t = beta_bar(s) in the section form. Requires alpha to be
+    The witness row for column s is the proof's canonical one, t = beta_bar(s),
+    which is s itself in the diagonal form. Requires alpha to be
     fixed-point-free; otherwise the construction proves nothing.
     """
     if fixed_points(alpha):
@@ -206,12 +208,8 @@ def cantor_witness(
             "fixed-point-free map"
         )
     if sec is None:
-        g = compose_diagonal(f, alpha)
-        witness = tuple(range(f.cols.size))
-    else:
-        g = compose_with_section(f, alpha, sec)
-        witness = tuple(sec.beta_bar[s] for s in range(f.cols.size))
-    report = NonRepresentabilityReport(g, witness)
+        sec = _identity_section(f)
+    report = NonRepresentabilityReport(compose_with_section(f, alpha, sec), sec.beta_bar)
     # guaranteed by fixed-point-freeness; a failure here is a bug, not bad input
     assert verify_nonrepresentability(f, report)
     return report

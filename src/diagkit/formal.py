@@ -210,11 +210,7 @@ def _contains_redex(node: Any) -> bool:
 
 @dataclass(frozen=True)
 class LemmaCertificate:
-    """A fixed-point sentence C for E together with its decidable check.
-
-    verified is true iff reducing C's diag redex reproduces, tree for tree, E
-    with C's own number substituted for its variable.
-    """
+    """A fixed-point sentence C for E together with its decidable check."""
 
     e: Formula
     variable: int
@@ -224,7 +220,11 @@ class LemmaCertificate:
     c_number: int
     reduced: Formula
     target: Formula
-    verified: bool
+
+    @property
+    def verified(self) -> bool:
+        """Reducing C reproduced, tree for tree, E with C's own number for its variable."""
+        return syntax.same(self.reduced, self.target)
 
 
 def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
@@ -255,7 +255,6 @@ def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
         c_number=c_number,
         reduced=reduced,
         target=target,
-        verified=syntax.same(reduced, target),
     )
 
 

@@ -2,11 +2,11 @@
 
 A notation is a `Sort`: a table with one row per constructor, giving its
 name, the head word it prints with and each field's name and kind. The row
-makes the constructor's frozen dataclass. A row's position is its tag and the
-number of rows is the sort's radix. Numbering, printing and reading are
-derived from the rows, and so are `rewrite` and `children`, a structural map
-and a fold whose callers give only their special cases. Every walker recurses
-one host frame per tree level.
+makes the constructor's frozen dataclass, which holds the row. A row's
+position is its tag and the number of rows is the sort's radix. Numbering,
+printing and reading are derived from the rows, and so are `rewrite` and
+`children`, a structural map and a fold whose callers give only their special
+cases. Every walker recurses one host frame per tree level.
 
 A node's number is radix * payload + tag. The payload is the right-nested
 Cantor pairing of the field numbers, pair(a, pair(b, c)): a scalar field is
@@ -95,30 +95,13 @@ def _as_tuples(names: Sequence[str]) -> Callable[[Any], None]:
     return __post_init__
 
 
-class Kind:
-    """One row of a sort's table; `slots` pairs each field kind with its name."""
-
-    def __init__(self, sort: Sort, cls: type, head: Any, fields: Mapping[str, Any]):
-        self.sort = sort
-        self.cls = cls
-        self.tag = len(sort.kinds)
-        self.head = head
-        self.fields = tuple(fields.values())
-        self.slots = tuple((field, name) for name, field in fields.items())
-        self.symbols = None
-        if isinstance(head, Mapping):
-            self.symbols = {code: word for word, (code, _) in head.items()}
-
-
-# every declared dataclass and its row
-_KINDS: dict[type, Kind] = {}
-
-
-def _kind(node: Any, sort: Optional[Sort] = None) -> Kind:
-    kind = _KINDS.get(node.__class__)
-    if kind is None or (sort is not None and kind.sort is not sort):
+def _kind(node: Any, sort: Optional[Sort] = None) -> type:
+    """The class of a node of `sort` (of any sort if None); it holds the row."""
+    # the class's own namespace: a subclass would number and print as its parent
+    own = node.__class__.__dict__.get("_sort")
+    if own is None or (sort is not None and own is not sort):
         raise TypeError(f"not a {sort.name if sort else 'node'}: {node!r}")
-    return kind
+    return node.__class__
 
 
 # the message for a bad atom or head word, given its text and offset
@@ -132,14 +115,13 @@ class Sort:
         self.name = name
         self.atom_error = atom_error
         self.head_error = head_error
-        self.kinds: list[Kind] = []
         self.radix = 0
-        # (dataclass, fields or None for a leaf) by tag: plain tuples keep
+        # (class, fields or None for a leaf) by tag: plain tuples keep
         # `denumber` as fast as a hand-written decoder, and the interpreter
         # decodes every program it runs
         self.rows: list[tuple[type, Optional[tuple]]] = []
-        # head word -> (row, fields the word fills, arity, what the arity error says)
-        self.heads: dict[str, tuple[Kind, tuple, int, str]] = {}
+        # head word -> (class, values it fills, fields left, arity, arity error text)
+        self.heads: dict[str, tuple[type, tuple, tuple, int, str]] = {}
 
     def declare(self, *rows: tuple[str, Any, Mapping[str, Any]]) -> tuple[type, ...]:
         """Add rows (name, head, {field: kind}) and return their node classes.
@@ -149,38 +131,46 @@ class Sort:
         {word: (code, arity)} whose code fills the first field. Each class is
         a frozen dataclass with the row's fields in order, `Many` fields
         stored as tuples, and the caller's module as its `__module__`, as
-        `collections.namedtuple` does.
+        `collections.namedtuple` does. The class holds its row as `_sort`,
+        `_tag`, `_head`, `_slots` ((kind, name) per field) and `_symbols`.
         """
         module = sys._getframe(1).f_globals.get("__name__", "__main__")
         classes = []
         for name, head, fields in rows:
+            kinds = tuple(fields.values())
+            table = isinstance(head, Mapping)
+            namespace = {
+                "_sort": self,
+                "_tag": len(self.rows),
+                "_head": head,
+                "_slots": tuple((field, f) for f, field in fields.items()),
+                "_symbols": {code: word for word, (code, _) in head.items()} if table else None,
+            }
             many = [f for f, field in fields.items() if field.__class__ is Many]
-            namespace = {"__post_init__": _as_tuples(many)} if many else {}
+            if many:
+                namespace["__post_init__"] = _as_tuples(many)
             cls = make_dataclass(name, list(fields), namespace=namespace, frozen=True)
             cls.__module__ = module
             classes.append(cls)
-            kind = Kind(self, cls, head, fields)
-            self.kinds.append(kind)
-            self.rows.append((cls, None if head is None else kind.fields))
-            _KINDS[cls] = kind
+            self.rows.append((cls, None if head is None else kinds))
             n = len(fields)
-            if kind.symbols is not None:
+            if table:
                 for word, (code, arity) in head.items():
-                    self.heads[word] = (kind, (code,), arity, f"{arity} argument(s)")
-            elif head is not None and any(f.__class__ is Scalar for f in fields):
-                self.heads[head] = (kind, (), n, "a variable and a body")
+                    self.heads[word] = (cls, (code,), kinds[1:], arity, f"{arity} argument(s)")
+            elif head is not None and any(f.__class__ is Scalar for f in kinds):
+                self.heads[head] = (cls, (), kinds, n, "a variable and a body")
             elif head is not None:
-                self.heads[head] = (kind, (), n, f"{n} argument" + "s" * (n != 1))
-        self.radix = len(self.kinds)
+                self.heads[head] = (cls, (), kinds, n, f"{n} argument" + "s" * (n != 1))
+        self.radix = len(self.rows)
         return tuple(classes)
 
     def number(self, node: Any) -> int:
-        kind = _kind(node, self)
-        field, name = kind.slots[-1]
+        cls = _kind(node, self)
+        field, name = cls._slots[-1]
         payload = field.number(getattr(node, name))
-        for field, name in kind.slots[-2::-1]:
+        for field, name in cls._slots[-2::-1]:
             payload = pair(field.number(getattr(node, name)), payload)
-        return self.radix * payload + kind.tag
+        return self.radix * payload + cls._tag
 
     def denumber(self, n: int) -> Any:
         cls, fields = self.rows[n % self.radix]
@@ -198,15 +188,15 @@ class Sort:
 
     def format(self, node: Any) -> str:
         """Prefix notation: a leaf prints bare, any other node as (head fields...)."""
-        kind = _kind(node, self)
-        slots = kind.slots
-        if kind.head is None:
+        cls = _kind(node, self)
+        slots = cls._slots
+        if cls._head is None:
             return slots[0][0].name(getattr(node, slots[0][1]))
-        if kind.symbols is None:
-            words = [kind.head]
+        if cls._symbols is None:
+            words = [cls._head]
         else:
             code = getattr(node, slots[0][1])
-            words = [kind.symbols.get(code, f"sym{code}")]
+            words = [cls._symbols.get(code, f"sym{code}")]
             slots = slots[1:]
         for field, name in slots:
             value = getattr(node, name)
@@ -224,23 +214,23 @@ class Sort:
     def read(self, node: sexpr.Node) -> Any:
         """Build a node of this sort from an s-expression; errors name an offset."""
         if isinstance(node, sexpr.Atom):
-            for kind in self.kinds:
-                if kind.head is None:
-                    value = kind.fields[0].code(node.text)
+            for cls, fields in self.rows:
+                if fields is None:
+                    value = cls._slots[0][0].code(node.text)
                     if value is not None:
-                        return kind.cls(value)
+                        return cls(value)
             raise InputError(self.atom_error(node.text, node.pos))
         if not node.items or not isinstance(node.items[0], sexpr.Atom):
             raise InputError(f"expected an operator at offset {node.pos}")
         word, args = node.items[0].text, node.items[1:]
         if word not in self.heads:
             raise InputError(self.head_error(word, node.pos))
-        kind, values, arity, usage = self.heads[word]
+        cls, values, fields, arity, usage = self.heads[word]
         if len(args) != arity:
             raise InputError(f"{word} takes {usage} (offset {node.pos})")
         values = list(values)
         args = iter(args)
-        for field in kind.fields[len(values):]:
+        for field in fields:
             if field.__class__ is Many:
                 values.append(tuple([field.sort.read(a) for a in args]))
                 continue
@@ -254,7 +244,7 @@ class Sort:
             if code is None:
                 raise InputError(f"unknown variable {arg.text!r} at offset {arg.pos}")
             values.append(code)
-        return kind.cls(*values)
+        return cls(*values)
 
 
 def rewrite(node: Any, rule: Callable[[Any], Any]) -> Any:
@@ -266,24 +256,24 @@ def rewrite(node: Any, rule: Callable[[Any], Any]) -> Any:
     out = rule(node)
     if out is not None:
         return out
-    kind = _kind(node)
-    if kind.head is None:
+    cls = _kind(node)
+    if cls._head is None:
         return node
     values = []
-    for field, name in kind.slots:
+    for field, name in cls._slots:
         value = getattr(node, name)
         if field.__class__ is Sort:
             value = rewrite(value, rule)
         elif field.__class__ is Many:
             value = tuple([rewrite(x, rule) for x in value])
         values.append(value)
-    return kind.cls(*values)
+    return cls(*values)
 
 
 def children(node: Any) -> list:
     """The child nodes of a node, in field order, for folds."""
     out = []
-    for field, name in _kind(node).slots:
+    for field, name in _kind(node)._slots:
         if field.__class__ is Sort:
             out.append(getattr(node, name))
         elif field.__class__ is Many:
@@ -302,7 +292,7 @@ def same(a: Any, b: Any) -> bool:
         a, b = stack.pop()
         if a.__class__ is not b.__class__:
             return False
-        for field, name in _kind(a).slots:
+        for field, name in _kind(a)._slots:
             x, y = getattr(a, name), getattr(b, name)
             if field.__class__ is Sort:
                 stack.append((x, y))

@@ -261,25 +261,26 @@ class RefutationWitness:
     g_index: int
     candidate_answer: Outcome
     g_run: Outcome
-    verdict: str
     fuel: int
 
     SAID_HALT_BUT_DIVERGED = "SaidHaltButDiverged"
     SAID_DIVERGE_BUT_HALTED = "SaidDivergeButHalted"
     CANDIDATE_NOT_TOTAL = "CandidateNotTotal"
 
+    @property
+    def verdict(self) -> str:
+        """How the candidate failed, read off its answer."""
+        answer = self.candidate_answer
+        if not isinstance(answer, Value):
+            return self.CANDIDATE_NOT_TOTAL
+        if answer.n == 0:
+            return self.SAID_DIVERGE_BUT_HALTED
+        return self.SAID_HALT_BUT_DIVERGED
+
 
 # node visits g spends around the candidate's own run: IfZero, Run, Smn,
 # Const, Var, Var, then the Const 1 branch
 _WRAPPER_ALLOWANCE = 7
-
-
-def _halting_verdict(answer: Outcome) -> str:
-    if not isinstance(answer, Value):
-        return RefutationWitness.CANDIDATE_NOT_TOTAL
-    if answer.n == 0:
-        return RefutationWitness.SAID_DIVERGE_BUT_HALTED
-    return RefutationWitness.SAID_HALT_BUT_DIVERGED
 
 
 def refute_halting(candidate: int, fuel: int) -> RefutationWitness:
@@ -301,16 +302,13 @@ def refute_halting(candidate: int, fuel: int) -> RefutationWitness:
         g_index=c,
         candidate_answer=answer,
         g_run=g_run,
-        verdict=_halting_verdict(answer),
         fuel=fuel,
     )
 
 
 def verify_refutation(witness: RefutationWitness) -> bool:
-    """The verdict matches the candidate's answer and g did the opposite."""
+    """g did the opposite of the candidate's answer, if it gave one."""
     answer = witness.candidate_answer
-    if witness.verdict != _halting_verdict(answer):
-        return False
     if not isinstance(answer, Value):
         return True
     return witness.g_run == (Value(1) if answer.n == 0 else Diverged())
@@ -333,12 +331,21 @@ class RiceReport:
     decider_answer: Outcome
     switched_to: Outcome
     samples: tuple[tuple[int, Outcome, Outcome], ...]
-    verdict: str
     fuel: int
 
     SAYS_MEMBER_BUT_ACTS_OUTSIDE = "SaysMemberButActsOutside"
     SAYS_NONMEMBER_BUT_ACTS_INSIDE = "SaysNonMemberButActsInside"
     DECIDER_NOT_TOTAL = "DeciderNotTotal"
+
+    @property
+    def verdict(self) -> str:
+        """How the decider failed, read off its answer."""
+        answer = self.decider_answer
+        if not isinstance(answer, Value):
+            return self.DECIDER_NOT_TOTAL
+        if answer.n != 0:
+            return self.SAYS_MEMBER_BUT_ACTS_OUTSIDE
+        return self.SAYS_NONMEMBER_BUT_ACTS_INSIDE
 
 
 # node visits the switch spends around the decider's own run: IfZero, Run,
@@ -346,14 +353,6 @@ class RiceReport:
 _SWITCH_ALLOWANCE = 5
 # inputs on which the probe is compared with the program it switched to
 RICE_SAMPLE_INPUTS = (0, 1, 2, 3)
-
-
-def _rice_verdict(answer: Outcome) -> str:
-    if not isinstance(answer, Value):
-        return RiceReport.DECIDER_NOT_TOTAL
-    if answer.n != 0:
-        return RiceReport.SAYS_MEMBER_BUT_ACTS_OUTSIDE
-    return RiceReport.SAYS_NONMEMBER_BUT_ACTS_INSIDE
 
 
 def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
@@ -375,16 +374,13 @@ def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
         decider_answer=answer,
         switched_to=switched,
         samples=tuple((x, left, right) for x, left, right, _ in samples),
-        verdict=_rice_verdict(answer),
         fuel=fuel,
     )
 
 
 def verify_rice(report: RiceReport) -> bool:
-    """Verdict must match the recorded answer and the probe must track its target."""
+    """If the decider answered, the probe switched to and tracks the other side."""
     answer = report.decider_answer
-    if report.verdict != _rice_verdict(answer):
-        return False
     if not isinstance(answer, Value):
         return True
     target = report.b if answer.n != 0 else report.a

@@ -118,11 +118,14 @@ def reverify_through_library(report) -> bool:
             g_index=cert["diagonal_index"],
             candidate_answer=_outcome_from_json(cert["candidate_answer"]),
             g_run=_outcome_from_json(cert["g_run"]),
-            verdict=cert["verdict"],
             fuel=cert["fuel"],
         )
         fresh = universe.refute_halting(cert["candidate"], cert["fuel"])
-        return universe.verify_refutation(witness) and fresh == witness
+        return (
+            universe.verify_refutation(witness)
+            and fresh == witness
+            and witness.verdict == cert["verdict"]
+        )
     if kind == "rice-contradiction":
         fresh = universe.rice_contradiction(
             cert["decider"], cert["a"], cert["b"], cert["fuel"]
@@ -383,6 +386,18 @@ def test_formal_curry_redex_consequent_exits_2(redex, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: formula must not contain a diag or neg applied to a numeral\n"
+
+
+@pytest.mark.parametrize(
+    "a,b,code", [("1", "1", 1), ("10", "%1", 10)], ids=["same-index", "index-and-body"]
+)
+def test_universe_rice_same_program_exits_2(a, b, code, capsys):
+    # one program cannot be both inside and outside the claimed class
+    exit_code = run_command(["universe", "rice", "--decider", "11", "--a", a, "--b", b])
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --a and --b must name different programs, both name {code}\n"
 
 
 def test_formal_parikh_zero_bound_exits_2(capsys):

@@ -100,6 +100,7 @@ def test_compose_with_section_example():
 def test_section_identity_matches_diagonal():
     sec = Section(beta=(0, 1, 2), beta_bar=(0, 1, 2))
     assert compose_with_section(F3, SWAP, sec) == compose_diagonal(F3, SWAP)
+    assert cantor_witness(F3, SWAP) == cantor_witness(F3, SWAP, sec)
 
 
 def test_section_right_inverse_checked():

@@ -229,7 +229,6 @@ def test_verify_sentence_rejects_each_changed_field(build):
         "target": Not(cert.target),
         # a target without a redex reduces to itself: only C's number tells them apart
         "c": cert.target,
-        "verified": False,
     }
     for field, value in changes.items():
         assert not F.verify_sentence(dataclasses.replace(cert, **{field: value})), field

@@ -21,8 +21,7 @@ NODES = [
 
 @pytest.mark.parametrize("module,sort", SORTS, ids=["programs", "terms", "formulas"])
 def test_classes_belong_to_the_declaring_module(module, sort):
-    for kind in sort.kinds:
-        cls = kind.cls
+    for cls, _ in sort.rows:
         assert cls.__module__ == module.__name__
         assert cls.__qualname__ == cls.__name__
         assert getattr(module, cls.__name__) is cls
@@ -73,6 +72,26 @@ def test_many_fields_are_stored_as_tuples():
     assert isinstance(node.args, tuple)
     assert node == F.Pred(0, (F.Var(1),))
     assert hash(node) == hash(F.Pred(0, (F.Var(1),)))
+
+
+class NotSubclass(F.Not):
+    pass
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: F.FORMULAS.number(U.Var(1)),
+        lambda: U.PROGRAMS.format(F.Num(1)),
+        lambda: syntax.rewrite(3, lambda n: None),
+        lambda: F.goedel_number(NotSubclass(F.Pred(0, ()))),
+    ],
+    ids=["other-sort-number", "other-sort-format", "non-node", "subclass"],
+)
+def test_only_a_node_class_of_the_sort_is_a_node(call):
+    # a subclass of a node class holds no row of its own, so it is no node
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_declare_makes_a_sort_from_rows_alone():
