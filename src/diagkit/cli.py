@@ -3,11 +3,12 @@
 Each invocation prints a single JSON report with stable key order: the echoed
 command, a digest of the inputs, the certificate payload, and a verified flag
 that the library's `verify_*` recomputes from the certificate right before
-emission (the quine checks itself on each input it lists). Exit status is 0
-only when the certificate verifies; malformed input, negative fuel and input
-that nests too deeply exit 2; a failed verification or an inapplicable
-construction exits 1. Divergence evidence in any report names the fuel bound
-it was observed at.
+emission. The quine checks itself on each input it lists; a sentence's flag
+is its `LemmaCertificate.verified`, read off the evidence its constructor
+computed from E alone. Exit status is 0 only when the certificate verifies;
+malformed input, negative fuel and input that nests too deeply exit 2; a
+failed verification or an inapplicable construction exits 1. Divergence
+evidence in any report names the fuel bound it was observed at.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def _sentence_report(
     if args.print_number:
         payload["g_number"] = cert.g_number
         payload["c_number"] = cert.c_number
-    return _args_inputs({"sentence": args.sentence, **echo}), payload, formal.verify_sentence(cert)
+    return _args_inputs({"sentence": args.sentence, **echo}), payload, cert.verified
 
 
 def _cmd_named_sentence(args: argparse.Namespace) -> tuple[dict, dict, bool]:

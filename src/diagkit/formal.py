@@ -26,7 +26,7 @@ natural number decodes to a formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from . import syntax
@@ -94,14 +94,6 @@ Pred, Less, Not, And, Or, Imp, Iff, ForAll, Exists, Unquote = FORMULAS.declare(
     # the formula spelled by a number; inert until explicitly unquoted
     ("Unquote", "unq", {"arg": TERMS}),
 )
-
-
-def term_number(t: Term) -> int:
-    return TERMS.number(t)
-
-
-def term_of(n: int) -> Term:
-    return TERMS.denumber(n)
 
 
 def goedel_number(phi: Formula) -> int:
@@ -210,16 +202,42 @@ def _contains_redex(node: Any) -> bool:
 
 @dataclass(frozen=True)
 class LemmaCertificate:
-    """A fixed-point sentence C for E together with its decidable check."""
+    """A fixed-point sentence C for E together with its decidable check.
+
+    Built from E and its single free variable alone. G is E applied to the
+    diagonalization of its own argument; C is G at G's own number; reduced is
+    C diag-reduced and target is E with C's number for its variable.
+    Requires free(E) = {variable} and no diag/neg redex in E (a redex would
+    fire during the check and desynchronize the sides).
+    """
 
     e: Formula
     variable: int
-    g: Formula
-    c: Formula
-    g_number: int
-    c_number: int
-    reduced: Formula
-    target: Formula
+    g: Formula = field(init=False)
+    g_number: int = field(init=False)
+    c: Formula = field(init=False)
+    c_number: int = field(init=False)
+    reduced: Formula = field(init=False)
+    target: Formula = field(init=False)
+
+    def __post_init__(self) -> None:
+        e, v = self.e, self.variable
+        if free_vars(e) != frozenset((v,)):
+            raise InputError(
+                f"formula must have exactly the designated free variable {var_name(v)!r}"
+            )
+        if _contains_redex(e):
+            raise InputError("formula must not contain a diag or neg applied to a numeral")
+        g = _subst(e, v, Diag(Var(v)))
+        g_number = goedel_number(g)
+        c = _subst(g, v, Num(g_number))
+        c_number = goedel_number(c)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_number", g_number)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c_number", c_number)
+        object.__setattr__(self, "reduced", reduce_diag(c))
+        object.__setattr__(self, "target", _subst(e, v, Num(c_number)))
 
     @property
     def verified(self) -> bool:
@@ -227,45 +245,8 @@ class LemmaCertificate:
         return syntax.same(self.reduced, self.target)
 
 
-def diagonal_sentence(e: Formula, v: int) -> LemmaCertificate:
-    """Close E over its single free variable v into a self-referential C.
-
-    G is E applied to the diagonalization of its own argument; C is G at G's
-    own number. Requires free(E) = {v} and no diag/neg redex in E (a redex
-    would fire during the check and desynchronize the sides).
-    """
-    if free_vars(e) != frozenset((v,)):
-        raise InputError(
-            f"formula must have exactly the designated free variable {var_name(v)!r}"
-        )
-    if _contains_redex(e):
-        raise InputError("formula must not contain a diag or neg applied to a numeral")
-    g = _subst(e, v, Diag(Var(v)))
-    g_number = goedel_number(g)
-    c = _subst(g, v, Num(g_number))
-    c_number = goedel_number(c)
-    reduced = reduce_diag(c)
-    target = _subst(e, v, Num(c_number))
-    return LemmaCertificate(
-        e=e,
-        variable=v,
-        g=g,
-        c=c,
-        g_number=g_number,
-        c_number=c_number,
-        reduced=reduced,
-        target=target,
-    )
-
-
-def verify_sentence(cert: LemmaCertificate) -> bool:
-    """Recheck from scratch that C has c_number and reduces to E at c_number."""
-    return (
-        cert.verified
-        and syntax.same(reduce_diag(cert.c), cert.target)
-        and syntax.same(cert.target, _subst(cert.e, cert.variable, Num(cert.c_number)))
-        and goedel_number(cert.c) == cert.c_number
-    )
+# close E over its single free variable into a self-referential C
+diagonal_sentence = LemmaCertificate
 
 
 def goedel_sentence() -> LemmaCertificate:
@@ -312,10 +293,6 @@ def curry_sentence(a: Formula) -> LemmaCertificate:
         raise InputError("the consequent must be a closed formula")
     e = Imp(Unquote(Var(X)), a)
     return diagonal_sentence(e, X)
-
-
-def format_term(t: Term) -> str:
-    return TERMS.format(t)
 
 
 def format_formula(phi: Formula) -> str:

@@ -85,6 +85,11 @@ class Many:
         return tuple([self.sort.denumber(c) for c in list_of(n)])
 
 
+def _final(cls: type, **kwargs: Any) -> None:
+    # a subclass would number and print as its parent
+    raise TypeError(f"node class {cls.__mro__[1].__name__} is final")
+
+
 def _as_tuples(names: Sequence[str]) -> Callable[[Any], None]:
     """A `__post_init__` that stores the `Many` fields `names` as tuples."""
 
@@ -97,8 +102,8 @@ def _as_tuples(names: Sequence[str]) -> Callable[[Any], None]:
 
 def _kind(node: Any, sort: Optional[Sort] = None) -> type:
     """The class of a node of `sort` (of any sort if None); it holds the row."""
-    # the class's own namespace: a subclass would number and print as its parent
-    own = node.__class__.__dict__.get("_sort")
+    # node classes are final (see `Sort.declare`), so an inherited row is its own
+    own = getattr(node.__class__, "_sort", None)
     if own is None or (sort is not None and own is not sort):
         raise TypeError(f"not a {sort.name if sort else 'node'}: {node!r}")
     return node.__class__
@@ -132,7 +137,8 @@ class Sort:
         a frozen dataclass with the row's fields in order, `Many` fields
         stored as tuples, and the caller's module as its `__module__`, as
         `collections.namedtuple` does. The class holds its row as `_sort`,
-        `_tag`, `_head`, `_slots` ((kind, name) per field) and `_symbols`.
+        `_tag`, `_head`, `_slots` ((kind, name) per field) and `_symbols`, and
+        is final: subclassing it raises `TypeError`.
         """
         module = sys._getframe(1).f_globals.get("__name__", "__main__")
         classes = []
@@ -145,6 +151,7 @@ class Sort:
                 "_head": head,
                 "_slots": tuple((field, f) for f, field in fields.items()),
                 "_symbols": {code: word for word, (code, _) in head.items()} if table else None,
+                "__init_subclass__": _final,
             }
             many = [f for f, field in fields.items() if field.__class__ is Many]
             if many:

@@ -13,7 +13,7 @@ are fuel-bounded approximations of the exact halting sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -246,26 +246,46 @@ def verify_recursion(transformed: Outcome, samples: Sequence[tuple]) -> bool:
     return isinstance(transformed, Value) and all(agree(s[1], s[2]) for s in samples)
 
 
+# node visits g spends around the candidate's own run: IfZero, Run, Smn,
+# Const, Var, Var, then the Const 1 branch
+_WRAPPER_ALLOWANCE = 7
+
+
 @dataclass(frozen=True)
 class RefutationWitness:
     """Evidence that a claimed halting decider is wrong or not total.
 
-    The diagonal program g (index g_index) asks the candidate about g itself
-    and then does the opposite: halts with 1 when told "diverges", loops when
+    Built from the candidate and the fuel alone. The candidate is read as
+    (n, m) -> {0, 1} with nonzero meaning "program m halts on n". The
+    diagonal program g (index g_index) asks the candidate about g itself and
+    then does the opposite: halts with 1 when told "diverges", loops when
     told "halts". candidate_answer records the candidate on (g, g) at the
     given fuel; g_run records g on g with the small constant wrapper
     allowance added, so a candidate answer computed within the budget always
-    propagates through g.
+    propagates through g. Every candidate yields a witness; divergence
+    evidence is explicitly bounded by the fuel recorded in it.
     """
 
-    g_index: int
-    candidate_answer: Outcome
-    g_run: Outcome
+    candidate: int
     fuel: int
+    g_index: int = field(init=False)
+    candidate_answer: Outcome = field(init=False)
+    g_run: Outcome = field(init=False)
 
     SAID_HALT_BUT_DIVERGED = "SaidHaltButDiverged"
     SAID_DIVERGE_BUT_HALTED = "SaidDivergeButHalted"
     CANDIDATE_NOT_TOTAL = "CandidateNotTotal"
+
+    def __post_init__(self) -> None:
+        g_body = IfZero(
+            Run(Smn(Const(self.candidate), Var(1)), Var(1)),
+            Const(1),
+            Run(Const(OMEGA), Const(OMEGA)),
+        )
+        c = encode(g_body)
+        object.__setattr__(self, "g_index", c)
+        object.__setattr__(self, "candidate_answer", evaluate(self.candidate, [c, c], self.fuel))
+        object.__setattr__(self, "g_run", evaluate(c, [c], self.fuel + _WRAPPER_ALLOWANCE))
 
     @property
     def verdict(self) -> str:
@@ -278,32 +298,8 @@ class RefutationWitness:
         return self.SAID_HALT_BUT_DIVERGED
 
 
-# node visits g spends around the candidate's own run: IfZero, Run, Smn,
-# Const, Var, Var, then the Const 1 branch
-_WRAPPER_ALLOWANCE = 7
-
-
-def refute_halting(candidate: int, fuel: int) -> RefutationWitness:
-    """Diagonalize against a claimed binary halting decider.
-
-    The candidate is read as (n, m) -> {0, 1} with nonzero meaning "program m
-    halts on n". Every candidate yields a witness; divergence evidence is
-    explicitly bounded by the fuel recorded in it.
-    """
-    g_body = IfZero(
-        Run(Smn(Const(candidate), Var(1)), Var(1)),
-        Const(1),
-        Run(Const(OMEGA), Const(OMEGA)),
-    )
-    c = encode(g_body)
-    answer = evaluate(candidate, [c, c], fuel)
-    g_run = evaluate(c, [c], fuel + _WRAPPER_ALLOWANCE)
-    return RefutationWitness(
-        g_index=c,
-        candidate_answer=answer,
-        g_run=g_run,
-        fuel=fuel,
-    )
+# diagonalize against a claimed binary halting decider
+refute_halting = RefutationWitness
 
 
 def verify_refutation(witness: RefutationWitness) -> bool:
@@ -314,28 +310,49 @@ def verify_refutation(witness: RefutationWitness) -> bool:
     return witness.g_run == (Value(1) if answer.n == 0 else Diverged())
 
 
+# node visits the switch spends around the decider's own run: IfZero, Run,
+# Const, Var, then the chosen Const branch
+_SWITCH_ALLOWANCE = 5
+# inputs on which the probe is compared with the program it switched to
+RICE_SAMPLE_INPUTS = (0, 1, 2, 3)
+
+
 @dataclass(frozen=True)
 class RiceReport:
     """Self-defeating probe for a claimed decider of a program property.
 
-    The caller asserts the decider answers 1 exactly on indices whose
-    function lies in some class A, with phi_a in A and phi_b not in A. The
-    probe n0 behaves like phi_b whenever the decider claims n0 is in A and
-    like phi_a otherwise, so any total decider contradicts itself on n0.
+    Built from the decider, a, b and the fuel alone. The caller asserts the
+    decider answers 1 exactly on indices whose function lies in some class
+    A, with phi_a in A and phi_b not in A. The probe n0 behaves like phi_b
+    whenever the decider claims n0 is in A and like phi_a otherwise, so any
+    total decider contradicts itself on n0. n0, switched_to and samples are
+    the recursion check of the switch body, sampled at `fuel`;
+    decider_answer is the decider's own answer on n0.
     """
 
     decider: int
     a: int
     b: int
-    n0: int
-    decider_answer: Outcome
-    switched_to: Outcome
-    samples: tuple[tuple[int, Outcome, Outcome], ...]
     fuel: int
+    n0: int = field(init=False)
+    decider_answer: Outcome = field(init=False)
+    switched_to: Outcome = field(init=False)
+    samples: tuple[tuple[int, Outcome, Outcome], ...] = field(init=False)
 
     SAYS_MEMBER_BUT_ACTS_OUTSIDE = "SaysMemberButActsOutside"
     SAYS_NONMEMBER_BUT_ACTS_INSIDE = "SaysNonMemberButActsInside"
     DECIDER_NOT_TOTAL = "DeciderNotTotal"
+
+    def __post_init__(self) -> None:
+        h = encode(IfZero(Run(Const(self.decider), Var(1)), Const(self.a), Const(self.b)))
+        n0, switched, samples = recursion_check(
+            h, self.fuel + _SWITCH_ALLOWANCE, (self.fuel,), RICE_SAMPLE_INPUTS
+        )
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "decider_answer", evaluate(self.decider, [n0], self.fuel))
+        object.__setattr__(self, "switched_to", switched)
+        samples = tuple((x, left, right) for x, left, right, _ in samples)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def verdict(self) -> str:
@@ -348,34 +365,8 @@ class RiceReport:
         return self.SAYS_NONMEMBER_BUT_ACTS_INSIDE
 
 
-# node visits the switch spends around the decider's own run: IfZero, Run,
-# Const, Var, then the chosen Const branch
-_SWITCH_ALLOWANCE = 5
-# inputs on which the probe is compared with the program it switched to
-RICE_SAMPLE_INPUTS = (0, 1, 2, 3)
-
-
-def rice_contradiction(decider: int, a: int, b: int, fuel: int) -> RiceReport:
-    """Build the self-defeating fixed point for a claimed property decider.
-
-    It is the recursion check of the switch body, sampled at `fuel`, plus the
-    decider's own answer on the fixed point.
-    """
-    h = encode(IfZero(Run(Const(decider), Var(1)), Const(a), Const(b)))
-    n0, switched, samples = recursion_check(
-        h, fuel + _SWITCH_ALLOWANCE, (fuel,), RICE_SAMPLE_INPUTS
-    )
-    answer = evaluate(decider, [n0], fuel)
-    return RiceReport(
-        decider=decider,
-        a=a,
-        b=b,
-        n0=n0,
-        decider_answer=answer,
-        switched_to=switched,
-        samples=tuple((x, left, right) for x, left, right, _ in samples),
-        fuel=fuel,
-    )
+# build the self-defeating fixed point for a claimed property decider
+rice_contradiction = RiceReport
 
 
 def verify_rice(report: RiceReport) -> bool:

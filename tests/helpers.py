@@ -1,6 +1,9 @@
-"""Shared generators and predicates for the universe test harnesses."""
+"""Shared generators, predicates and checks for the test harnesses."""
 
+import dataclasses
 import random
+
+import pytest
 
 from diagkit.universe import (
     OMEGA,
@@ -163,3 +166,22 @@ def random_formula_with_free_x(rng: random.Random, allow_selfref_terms: bool = T
         phi = formula(rng.randint(1, 5), [F.X])
         if F.free_vars(phi) == frozenset((F.X,)):
             return phi
+
+
+def check_holds_only_inputs(cert, evidence, **change) -> None:
+    """`cert` is built from its inputs alone and its evidence follows them.
+
+    An evidence field can be neither passed to the constructor nor replaced,
+    and replacing an input gives the certificate built fresh at that input.
+    """
+    cls = type(cert)
+    fields = dataclasses.fields(cert)
+    assert [f.name for f in fields if not f.init] == list(evidence)
+    inputs = {f.name: getattr(cert, f.name) for f in fields if f.init}
+    assert cls(**inputs) == cert
+    for name in evidence:
+        with pytest.raises(TypeError):
+            cls(**inputs, **{name: getattr(cert, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(cert, **{name: getattr(cert, name)})
+    assert dataclasses.replace(cert, **change) == cls(**{**inputs, **change})

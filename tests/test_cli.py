@@ -114,26 +114,27 @@ def reverify_through_library(report) -> bool:
                     return False
         return True
     if kind == "halting-refutation":
-        witness = universe.RefutationWitness(
-            g_index=cert["diagonal_index"],
-            candidate_answer=_outcome_from_json(cert["candidate_answer"]),
-            g_run=_outcome_from_json(cert["g_run"]),
-            fuel=cert["fuel"],
-        )
-        fresh = universe.refute_halting(cert["candidate"], cert["fuel"])
+        witness = universe.RefutationWitness(cert["candidate"], cert["fuel"])
         return (
             universe.verify_refutation(witness)
-            and fresh == witness
+            and witness.g_index == cert["diagonal_index"]
+            and witness.candidate_answer == _outcome_from_json(cert["candidate_answer"])
+            and witness.g_run == _outcome_from_json(cert["g_run"])
             and witness.verdict == cert["verdict"]
         )
     if kind == "rice-contradiction":
-        fresh = universe.rice_contradiction(
-            cert["decider"], cert["a"], cert["b"], cert["fuel"]
-        )
+        report = universe.RiceReport(cert["decider"], cert["a"], cert["b"], cert["fuel"])
+        samples = [
+            (s["input"], _outcome_from_json(s["fixed_point"]), _outcome_from_json(s["switched"]))
+            for s in cert["samples"]
+        ]
         return (
-            universe.verify_rice(fresh)
-            and fresh.n0 == cert["n0"]
-            and fresh.verdict == cert["verdict"]
+            universe.verify_rice(report)
+            and report.n0 == cert["n0"]
+            and report.decider_answer == _outcome_from_json(cert["decider_answer"])
+            and report.switched_to == _outcome_from_json(cert["switched_to"])
+            and list(report.samples) == samples
+            and report.verdict == cert["verdict"]
         )
     if kind == "diagonal-sentence":
         c = formal.parse_formula(cert["c"])

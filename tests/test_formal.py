@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_formula_with_free_x
+from helpers import check_holds_only_inputs, random_formula_with_free_x
 
 from diagkit import formal as F
 from diagkit.errors import InputError
@@ -76,8 +76,8 @@ def test_numbering_pinned_values():
     assert goedel_number(p_of(Var(X))) == 110
     assert formula_of(110) == p_of(Var(X))
     assert goedel_number(Pred(TRUTH, (Var(X),))) == 70
-    assert F.term_number(Var(X)) == 0
-    assert F.term_number(Num(0)) == 1
+    assert F.TERMS.number(Var(X)) == 0
+    assert F.TERMS.number(Num(0)) == 1
 
 
 def test_substitute_simple():
@@ -210,15 +210,25 @@ NAMED_BUILDERS = {
 }
 
 
+def _rechecks(cert) -> bool:
+    """`verified`, and the evidence recomputed from E: C's number, C reduced."""
+    target = substitute(cert.e, cert.variable, Num(cert.c_number))
+    return (
+        cert.verified
+        and goedel_number(cert.c) == cert.c_number
+        and reduce_diag(cert.c) == target == cert.target
+    )
+
+
 @pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
 def test_verify_sentence_accepts_named_builders(build):
-    assert F.verify_sentence(build())
+    assert _rechecks(build())
 
 
 def test_verify_sentence_accepts_random_certificates():
     rng = random.Random(0xD1A6)
     for _ in range(60):
-        assert F.verify_sentence(diagonal_sentence(random_formula_with_free_x(rng), X))
+        assert _rechecks(diagonal_sentence(random_formula_with_free_x(rng), X))
 
 
 @pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
@@ -230,8 +240,19 @@ def test_verify_sentence_rejects_each_changed_field(build):
         # a target without a redex reduces to itself: only C's number tells them apart
         "c": cert.target,
     }
+    # the evidence is computed from E: no certificate can hold another
     for field, value in changes.items():
-        assert not F.verify_sentence(dataclasses.replace(cert, **{field: value})), field
+        with pytest.raises(ValueError):
+            dataclasses.replace(cert, **{field: value})
+        with pytest.raises(TypeError):
+            F.LemmaCertificate(cert.e, cert.variable, **{field: value})
+
+
+def test_lemma_certificate_holds_only_its_inputs():
+    cert = F.tarski_sentence()
+    evidence = ("g", "g_number", "c", "c_number", "reduced", "target")
+    check_holds_only_inputs(cert, evidence, e=Not(cert.e))
+    assert diagonal_sentence is F.LemmaCertificate
 
 
 def test_reduce_idempotent_on_diag_only_outputs():

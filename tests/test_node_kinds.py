@@ -93,10 +93,10 @@ def test_program_kind_pinned(expr, number, text):
 
 @pytest.mark.parametrize("term,number,text", TERMS)
 def test_term_kind_pinned(term, number, text):
-    assert F.term_number(term) == number
-    assert F.term_of(number) == term
-    assert F.term_of(F.term_number(term)) == term
-    assert F.format_term(term) == text
+    assert F.TERMS.number(term) == number
+    assert F.TERMS.denumber(number) == term
+    assert F.TERMS.denumber(F.TERMS.number(term)) == term
+    assert F.TERMS.format(term) == text
     # terms have no reader of their own; read one as the argument of unq
     assert F.parse_formula(f"(unq {text})") == F.Unquote(term)
 

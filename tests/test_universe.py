@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    check_holds_only_inputs,
     cost_model_cases,
     outcomes_agree,
     random_safe_binary,
@@ -330,10 +331,46 @@ def test_verify_refutation_rejects_any_other_verdict(candidate):
     # the verdict is read off the candidate's answer: no witness can store another
     with pytest.raises(TypeError):
         dataclasses.replace(witness, verdict="Bogus")
-    # g must have done the opposite of what the candidate answered
-    if isinstance(witness.candidate_answer, Value):
-        wrong = Diverged() if witness.g_run == Value(1) else Value(1)
-        assert not U.verify_refutation(dataclasses.replace(witness, g_run=wrong))
+    # g's run is computed from the candidate: no witness can hold another
+    wrong = Diverged() if witness.g_run == Value(1) else Value(1)
+    with pytest.raises(ValueError):
+        dataclasses.replace(witness, g_run=wrong)
+
+
+@pytest.mark.parametrize(
+    "construction,cls,inputs,evidence",
+    [
+        (
+            refute_halting,
+            U.RefutationWitness,
+            (encode(Const(1)), 4096),
+            ("g_index", "candidate_answer", "g_run"),
+        ),
+        (
+            U.rice_contradiction,
+            U.RiceReport,
+            (11, 1, OMEGA, 10**4),
+            ("n0", "decider_answer", "switched_to", "samples"),
+        ),
+    ],
+    ids=["refutation", "rice"],
+)
+def test_certificate_holds_only_its_inputs(construction, cls, inputs, evidence):
+    assert construction is cls
+    check_holds_only_inputs(cls(*inputs), evidence, fuel=3)
+
+
+def test_forged_certificates_do_not_construct():
+    # each verified while a certificate stored its evidence beside its inputs:
+    # decider 11 is Const 1 and answers Value(1) on 0, not Stuck()
+    with pytest.raises(TypeError):
+        U.RiceReport(
+            decider=11, a=1, b=2208, n0=0, decider_answer=Stuck(),
+            switched_to=Value(3), samples=(), fuel=1,
+        )
+    # nor does a witness name no candidate
+    with pytest.raises(TypeError):
+        U.RefutationWitness(g_index=0, candidate_answer=Diverged(), g_run=Value(5), fuel=1)
 
 
 def test_bounded_halting_matrix_columns():
