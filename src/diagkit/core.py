@@ -26,6 +26,20 @@ def _stray(values: Sequence, indices: frozenset) -> Optional[int]:
     return next(i for i, v in enumerate(values) if type(v) is not int or v not in indices)
 
 
+def _freeze(obj, name: str, rows: bool = False) -> None:
+    """Store field `name` of a frozen dataclass as a tuple, of tuples if `rows`.
+
+    A field that is no sequence (of sequences) raises InputError naming it.
+    """
+    value = getattr(obj, name)
+    try:
+        value = tuple(map(tuple, value)) if rows else tuple(value)
+    except TypeError:
+        shape = "a sequence of sequences" if rows else "a sequence"
+        raise InputError(f"{name} must be {shape}") from None
+    object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Carrier:
     """Finite index set {0, .., size-1} with optional pairwise-distinct labels."""
@@ -39,7 +53,7 @@ class Carrier:
         if self.size < 1:
             raise InputError("carrier size must be at least 1")
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+            _freeze(self, "labels")
             if len(self.labels) != self.size:
                 raise InputError("label count must equal carrier size")
             if len(set(self.labels)) != self.size:
@@ -57,7 +71,7 @@ class EndoMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        _freeze(self, "mapping")
         if len(self.mapping) != self.carrier.size:
             raise InputError("endomap must define an image for every carrier element")
         if (y := _stray(self.mapping, frozenset(range(self.carrier.size)))) is not None:
@@ -74,7 +88,7 @@ class EvalMatrix:
     cell: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cell", tuple(tuple(row) for row in self.cell))
+        _freeze(self, "cell", rows=True)
         if len(self.cell) != self.rows.size:
             raise InputError("matrix must have one row per row-carrier element")
         y_indices = frozenset(range(self.y.size))
@@ -104,8 +118,8 @@ class Section:
     beta_bar: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", tuple(self.beta))
-        object.__setattr__(self, "beta_bar", tuple(self.beta_bar))
+        _freeze(self, "beta")
+        _freeze(self, "beta_bar")
         if not self.beta or not self.beta_bar:
             raise InputError("section requires nonempty beta and beta_bar")
         t_size, s_size = len(self.beta), len(self.beta_bar)
@@ -129,7 +143,7 @@ class YMap:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        _freeze(self, "values")
         if len(self.values) != self.domain.size:
             raise InputError("map must define a value for every domain element")
         if (t := _stray(self.values, frozenset(range(self.y.size)))) is not None:
@@ -148,7 +162,7 @@ class NonRepresentabilityReport:
     witness_rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "witness_rows", tuple(self.witness_rows))
+        _freeze(self, "witness_rows")
 
 
 @dataclass(frozen=True)
@@ -259,6 +273,8 @@ def verify_fixed_point(
 ) -> bool:
     """Re-check alpha(y0) = y0 and y0 = f(t, t) = g(t) for the witness."""
     t, y0 = witness.column, witness.value
+    if type(t) is not int or type(y0) is not int:
+        return False
     if not (f.is_square and 0 <= t < f.rows.size and 0 <= y0 < f.y.size):
         return False
     if alpha.carrier != f.y:

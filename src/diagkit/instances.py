@@ -18,6 +18,7 @@ from .core import (
     EndoMap,
     EvalMatrix,
     NonRepresentabilityReport,
+    _freeze,
     cantor_witness,
 )
 
@@ -41,7 +42,7 @@ class SubsetFamily:
     subsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
+        _freeze(self, "subsets", rows=True)
         # checked as the square bit table whose row m is S_m
         carrier = Carrier(self.size)
         EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=self.subsets)
@@ -59,8 +60,8 @@ class DescribesMatrix:
     rel: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "rel", tuple(tuple(r) for r in self.rel))
+        _freeze(self, "labels")
+        _freeze(self, "rel", rows=True)
         describes_matrix(self)
 
 
@@ -72,8 +73,8 @@ class TriValuedMatrix:
     table: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "table", tuple(tuple(r) for r in self.table))
+        _freeze(self, "labels")
+        _freeze(self, "table", rows=True)
         tri_valued_matrix(self)
 
 
@@ -89,8 +90,8 @@ class DigitMatrix:
     digits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "digits", tuple(tuple(r) for r in self.digits))
+        _freeze(self, "labels")
+        _freeze(self, "digits", rows=True)
         digit_matrix(self)
 
 

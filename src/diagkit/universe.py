@@ -107,56 +107,56 @@ def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
     # explicit work/value stacks: self-application must not grow the host stack.
     # A work item is (node, env, visit). A visit pays one unit of fuel and
     # pushes the node back to be finished once its children are visited; a
-    # finish combines the children's values.
+    # finish combines the children's values. Both branch on the node's class
+    # by identity; the last arm takes the rest (unary visits, the Smn finish).
     work: list = [(body, tuple(args), True)]
     vals: list[int] = []
     while work:
         e, env, visit = work.pop()
+        cls = e.__class__
         if visit:
             if fuel == 0:
                 return Diverged()
             fuel -= 1
-            match e:
-                case Var(index):
-                    if 1 <= index <= len(env):
-                        vals.append(env[index - 1])
-                    else:
-                        return Stuck()
-                case Const(value):
-                    vals.append(value)
-                case Run(left, right) | Pair(left, right) | Smn(left, right):
-                    work.append((e, env, False))
-                    work.append((right, env, True))
-                    work.append((left, env, True))
-                case Succ(child) | Pred(child) | Fst(child) | Snd(child):
-                    work.append((e, env, False))
-                    work.append((child, env, True))
-                case IfZero(cond):
-                    work.append((e, env, False))
-                    work.append((cond, env, True))
+            if cls is Run or cls is Smn or cls is Pair:
+                left, right = (e.left, e.right) if cls is Pair else (e.prog, e.arg)
+                work.append((e, env, False))
+                work.append((right, env, True))
+                work.append((left, env, True))
+            elif cls is Var:
+                if 1 <= (index := e.index) <= len(env):
+                    vals.append(env[index - 1])
+                else:
+                    return Stuck()
+            elif cls is Const:
+                vals.append(e.value)
+            elif cls is IfZero:
+                work.append((e, env, False))
+                work.append((e.cond, env, True))
+            else:
+                work.append((e, env, False))
+                work.append((e.child, env, True))
+        # Run first: self-application finishes a Run at every turn
+        elif cls is Run:
+            x = vals.pop()
+            work.append((decode(vals.pop()), (x,), True))
+        elif cls is IfZero:
+            work.append((e.then if vals.pop() == 0 else e.other, env, True))
+        elif cls is Succ:
+            vals.append(vals.pop() + 1)
+        elif cls is Pred:
+            v = vals.pop()
+            vals.append(v - 1 if v > 0 else 0)
+        elif cls is Fst:
+            vals.append(unpair(vals.pop())[0])
+        elif cls is Snd:
+            vals.append(unpair(vals.pop())[1])
+        elif cls is Pair:
+            b = vals.pop()
+            vals.append(pair(vals.pop(), b))
         else:
-            # Run first: self-application finishes a Run at every turn
-            match e:
-                case Run():
-                    x = vals.pop()
-                    work.append((decode(vals.pop()), (x,), True))
-                case IfZero(_, then, other):
-                    work.append((then if vals.pop() == 0 else other, env, True))
-                case Succ():
-                    vals.append(vals.pop() + 1)
-                case Pred():
-                    v = vals.pop()
-                    vals.append(v - 1 if v > 0 else 0)
-                case Fst():
-                    vals.append(unpair(vals.pop())[0])
-                case Snd():
-                    vals.append(unpair(vals.pop())[1])
-                case Pair():
-                    b = vals.pop()
-                    vals.append(pair(vals.pop(), b))
-                case Smn():
-                    y = vals.pop()
-                    vals.append(smn_meta(vals.pop(), y))
+            y = vals.pop()
+            vals.append(smn_meta(vals.pop(), y))
     return Value(vals.pop())
 
 

@@ -70,6 +70,11 @@ def test_matrix_validation():
             square(((0, 1), (bad, 1)))
 
 
+def test_matrix_rejects_rows_that_are_no_sequence():
+    with pytest.raises(InputError, match="^cell must be a sequence of sequences$"):
+        EvalMatrix(BITS, BITS, BITS, (1, 2))
+
+
 def test_compose_diagonal_flips_diagonal():
     g = compose_diagonal(F3, SWAP)
     assert g.values == (0, 0, 1)
@@ -124,6 +129,11 @@ def test_section_right_inverse_checked():
             Section(beta=(0, bad), beta_bar=(0, 1))
         with pytest.raises(InputError, match=r"beta_bar\[0\] lies outside the row carrier"):
             Section(beta=(0, 1), beta_bar=(bad, 1))
+
+
+def test_section_rejects_a_beta_that_is_no_sequence():
+    with pytest.raises(InputError, match="^beta must be a sequence$"):
+        Section(3, (0,))
 
 
 def test_ymap_validation():
@@ -318,3 +328,14 @@ def test_fixed_point_witness_soundness(data):
     if witness is not None:
         assert verify_fixed_point(f, alpha, witness)
         assert alpha.mapping[witness.value] == witness.value
+
+
+def test_fixed_point_witness_of_non_ints_fails_verification():
+    from diagkit.core import FixedPointWitness
+
+    ident = EndoMap(BITS, (0, 1))
+    assert verify_fixed_point(F3, ident, FixedPointWitness(column=0, value=1))
+    # True indexes like 1 and equals 1, so only the type tells it apart
+    for bad in (0.0, 1.0, True, "0", None):
+        assert not verify_fixed_point(F3, ident, FixedPointWitness(column=bad, value=1))
+        assert not verify_fixed_point(F3, ident, FixedPointWitness(column=0, value=bad))

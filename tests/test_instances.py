@@ -62,6 +62,11 @@ def test_table_validation():
             I.SubsetFamily(((0, 0), (bad, 0)))
 
 
+def test_describes_matrix_rejects_rows_that_are_no_sequence():
+    with pytest.raises(InputError, match="^rel must be a sequence of sequences$"):
+        I.DescribesMatrix(("a", "b"), (0, 1))
+
+
 def grelling_table():
     m, _ = I.demo_grelling()
     return m

@@ -14,9 +14,11 @@ from helpers import (
     random_total_unary,
     random_tree,
 )
+from test_cost_model import least_fuel, reference
 
 from diagkit import universe as U
 from diagkit.errors import InputError
+from diagkit.syntax import children
 from diagkit.universe import (
     Const,
     Diverged,
@@ -121,6 +123,33 @@ def test_eval_fuel_exhaustion():
     code = encode(body)
     assert evaluate(code, [], 3) == Diverged()
     assert evaluate(code, [], 4) == Value(3)
+
+
+def test_dispatch_covers_the_sort_in_declaration_order():
+    # the run loop's last arms catch the classes left over: a new row would
+    # silently run as a unary node or finish as an Smn
+    assert [cls for cls, _ in U.PROGRAMS.rows] == [
+        Var, Const, Succ, U.Pred, IfZero, Pair, U.Fst, U.Snd, Run, Smn
+    ]
+
+
+def test_program_with_every_constructor_matches_reference():
+    # fst (pair (ifz (pred 1) (snd (run (smn P 5) (succ %1))) 9) %1) with
+    # P = (pair %1 %2): the Run enters (pair 5 %1), so the value is x + 1
+    spec = Smn(Const(encode(Pair(Var(1), Var(2)))), Const(5))
+    taken = U.Snd(Run(spec, Succ(Var(1))))
+    body = U.Fst(Pair(IfZero(U.Pred(Const(1)), taken, Const(9)), Var(1)))
+    nodes, classes = [body], set()
+    while nodes:
+        node = nodes.pop()
+        classes.add(type(node))
+        nodes += children(node)
+    assert classes == {cls for cls, _ in U.PROGRAMS.rows}
+    code = encode(body)
+    for args, want in (([], Stuck()), ([0], Value(1)), ([4], Value(5))):
+        k = least_fuel(code, args)
+        assert evaluate(code, args, k) == reference(body, args, k) == want
+        assert evaluate(code, args, k - 1) == reference(body, args, k - 1) == Diverged()
 
 
 def test_eval_rejects_negative_fuel():
