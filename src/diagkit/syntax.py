@@ -180,6 +180,19 @@ class Sort:
             payload = pair(field.number(getattr(node, name)), payload)
         return self.radix * payload + cls._tag
 
+    def split(self, n: int) -> tuple[type, tuple[int, ...]]:
+        """Node n's class and its field numbers: one level of `denumber`."""
+        cls, fields = self.rows[n % self.radix]
+        payload = n // self.radix
+        if fields is None or len(fields) == 1:
+            return cls, (payload,)
+        numbers = []
+        for _ in fields[:-1]:
+            value, payload = unpair(payload)
+            numbers.append(value)
+        numbers.append(payload)
+        return cls, tuple(numbers)
+
     def denumber(self, n: int) -> Any:
         """Total inverse of `number`: every natural number is a node of the sort."""
         cls, fields = self.rows[n % self.radix]

@@ -43,6 +43,9 @@ class Stuck:
 
 
 Outcome = Union[Value, Diverged, Stuck]
+# the interpreter returns these two: an outcome without fields equals every
+# other of its class, so one shared instance of each serves every run
+_DIVERGED, _STUCK = Diverged(), Stuck()
 
 # Body of Run(Var 1, Var 1): applied to its own code it loops forever.
 OMEGA = 2208
@@ -81,11 +84,47 @@ Var, Const, Succ, Pred, IfZero, Pair, Fst, Snd, Run, Smn = PROGRAMS.declare(
 # a body's code is 10 * payload + constructor tag; its numerals are constants
 encode, parse_program, format_program = PROGRAMS.number, PROGRAMS.parse, PROGRAMS.format
 
-# `decode` and `smn_meta` keep this many recent results each. Both are pure,
-# charge no fuel and return immutable values, so the memo changes no outcome;
-# self-application decodes and specializes the same few codes at every turn.
+# `decode`, `steps` and `smn_meta` keep this many recent results each. All
+# three are pure, charge no fuel and return immutable values, so the memo
+# changes no outcome; self-application re-enters the same few codes at every
+# turn.
 MEMO_SIZE = 256
 decode = lru_cache(maxsize=MEMO_SIZE)(PROGRAMS.denumber)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def steps(p: int) -> tuple[tuple[type, int, object], ...]:
+    """Program p as post-order (class, k, a) steps, read straight from its code.
+
+    Fuel is charged at the leaves. Nothing happens between an inner node's
+    visit and the visit of its leftmost leaf, so a `Var` or `Const` step
+    carries k = 1 + the inner nodes visited just before it; its a is the
+    index or the value. An `ifz` step's a is (then, other, tail), its
+    branches as codes, which are compiled only when taken; a `run` step's a
+    is tail. tail is True for the last step only: a call there needs no
+    frame to return to. Other steps have k = 0 and a = None.
+    """
+    out = []
+    charge = 0
+    # codes to visit, and the steps that finish them, in reverse order
+    todo: list = [p]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is tuple:
+            out.append(item)
+            continue
+        cls, fields = PROGRAMS.split(item)
+        charge += 1
+        if cls is Var or cls is Const:
+            out.append((cls, charge, fields[0]))
+            charge = 0
+        elif cls is IfZero:
+            todo.append((cls, 0, (fields[1], fields[2], not todo)))
+            todo.append(fields[0])
+        else:
+            todo.append((cls, 0, not todo if cls is Run else None))
+            todo.extend(fields[::-1])
+    return tuple(out)
 
 
 def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
@@ -93,71 +132,65 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
 
     Big-step, deterministic, and monotone: a Value at fuel F is the same
     Value at every larger budget. Each expression node visit costs one unit;
-    nested `Run` calls draw on the same budget. Fuel must be a natural
-    number; fuel 0 is Diverged at once.
+    nested `Run` calls draw on the same budget. Fuel must be an `int` and a
+    natural number; fuel 0 is Diverged at once.
     """
-    return evaluate_body(decode(p), args, fuel)
-
-
-def evaluate_body(body: Expr, args: Sequence[int], fuel: int) -> Outcome:
-    """Like `evaluate` but starting from an already-decoded body."""
-    # the run loop counts fuel down to 0: a negative budget would never run out
-    if fuel < 0:
-        raise InputError(f"fuel must be a natural number, got {fuel}")
-    # explicit work/value stacks: self-application must not grow the host stack.
-    # A work item is (node, env, visit). A visit pays one unit of fuel and
-    # pushes the node back to be finished once its children are visited; a
-    # finish combines the children's values. Both branch on the node's class
-    # by identity; the last arm takes the rest (unary visits, the Smn finish).
-    work: list = [(body, tuple(args), True)]
+    # the loop counts fuel down to 0: a negative budget would never run out,
+    # and neither would 1.5; True would count as 1
+    if type(fuel) is not int or fuel < 0:
+        raise InputError(f"fuel must be a natural number, got {fuel!r}")
+    # todo walks the steps of the code being run; a frame (todo, env) is kept
+    # for each run or ifz call not in tail position, to resume after it. The
+    # last arm takes the class left over, Smn.
+    env = tuple(args)
+    todo = iter(steps(p))
+    frames: list = []
     vals: list[int] = []
-    while work:
-        e, env, visit = work.pop()
-        cls = e.__class__
-        if visit:
-            if fuel == 0:
-                return Diverged()
-            fuel -= 1
-            if cls is Run or cls is Smn or cls is Pair:
-                left, right = (e.left, e.right) if cls is Pair else (e.prog, e.arg)
-                work.append((e, env, False))
-                work.append((right, env, True))
-                work.append((left, env, True))
-            elif cls is Var:
-                if 1 <= (index := e.index) <= len(env):
-                    vals.append(env[index - 1])
-                else:
-                    return Stuck()
+    while True:
+        for cls, k, a in todo:
+            if cls is Var:
+                if fuel < k:
+                    return _DIVERGED
+                fuel -= k
+                if not 0 < a <= len(env):
+                    return _STUCK
+                vals.append(env[a - 1])
             elif cls is Const:
-                vals.append(e.value)
+                if fuel < k:
+                    return _DIVERGED
+                fuel -= k
+                vals.append(a)
+            elif cls is Run:
+                x = vals.pop()
+                if not a:
+                    frames.append((todo, env))
+                todo, env = iter(steps(vals.pop())), (x,)
+                break
             elif cls is IfZero:
-                work.append((e, env, False))
-                work.append((e.cond, env, True))
+                then, other, tail = a
+                if not tail:
+                    frames.append((todo, env))
+                todo = iter(steps(then if vals.pop() == 0 else other))
+                break
+            elif cls is Succ:
+                vals[-1] += 1
+            elif cls is Pred:
+                if vals[-1] > 0:
+                    vals[-1] -= 1
+            elif cls is Fst:
+                vals[-1] = unpair(vals[-1])[0]
+            elif cls is Snd:
+                vals[-1] = unpair(vals[-1])[1]
+            elif cls is Pair:
+                b = vals.pop()
+                vals[-1] = pair(vals[-1], b)
             else:
-                work.append((e, env, False))
-                work.append((e.child, env, True))
-        # Run first: self-application finishes a Run at every turn
-        elif cls is Run:
-            x = vals.pop()
-            work.append((decode(vals.pop()), (x,), True))
-        elif cls is IfZero:
-            work.append((e.then if vals.pop() == 0 else e.other, env, True))
-        elif cls is Succ:
-            vals.append(vals.pop() + 1)
-        elif cls is Pred:
-            v = vals.pop()
-            vals.append(v - 1 if v > 0 else 0)
-        elif cls is Fst:
-            vals.append(unpair(vals.pop())[0])
-        elif cls is Snd:
-            vals.append(unpair(vals.pop())[1])
-        elif cls is Pair:
-            b = vals.pop()
-            vals.append(pair(vals.pop(), b))
+                y = vals.pop()
+                vals[-1] = smn_meta(vals[-1], y)
         else:
-            y = vals.pop()
-            vals.append(smn_meta(vals.pop(), y))
-    return Value(vals.pop())
+            if not frames:
+                return Value(vals.pop())
+            todo, env = frames.pop()
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -381,7 +414,7 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     """
     if n < 1:
         raise InputError("matrix size must be at least 1")
-    # column by column, so that each program's code stays in the decode memo
+    # column by column, so that each program's steps stay in the memo
     cols = [
         [1 if isinstance(evaluate(j, [i], fuel), Value) else 0 for i in range(n)]
         for j in range(n)

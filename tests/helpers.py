@@ -1,7 +1,9 @@
 """Shared generators, predicates and checks for the test harnesses."""
 
+import contextlib
 import dataclasses
 import random
+import signal
 
 import pytest
 
@@ -185,3 +187,19 @@ def check_holds_only_inputs(cert, evidence, **change) -> None:
         with pytest.raises(ValueError):
             dataclasses.replace(cert, **{name: getattr(cert, name)})
     assert dataclasses.replace(cert, **change) == cls(**{**inputs, **change})
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise `TimeoutError` in a block still running after `seconds`, not hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -212,11 +212,11 @@ def _rechecks(cert) -> bool:
 
 
 @pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
-def test_verify_sentence_accepts_named_builders(build):
+def test_lemma_certificate_accepts_named_builders(build):
     assert _rechecks(build())
 
 
-def test_verify_sentence_accepts_random_certificates():
+def test_lemma_certificate_accepts_random_certificates():
     rng = random.Random(0xD1A6)
     for _ in range(60):
         assert _rechecks(diagonal_sentence(random_formula_with_free_x(rng), X))

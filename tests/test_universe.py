@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     check_holds_only_inputs,
     cost_model_cases,
+    deadline,
     outcomes_agree,
     random_safe_binary,
     random_total_unary,
     random_tree,
 )
-from test_cost_model import least_fuel, reference
+from test_cost_model import FUEL_CAP, least_fuel, reference
 
 from diagkit import universe as U
 from diagkit.errors import InputError
@@ -126,8 +128,8 @@ def test_eval_fuel_exhaustion():
 
 
 def test_dispatch_covers_the_sort_in_declaration_order():
-    # the run loop's last arms catch the classes left over: a new row would
-    # silently run as a unary node or finish as an Smn
+    # the run loop's last arm catches the class left over: a new row would
+    # silently run as an Smn
     assert [cls for cls, _ in U.PROGRAMS.rows] == [
         Var, Const, Succ, U.Pred, IfZero, Pair, U.Fst, U.Snd, Run, Smn
     ]
@@ -158,9 +160,114 @@ def test_eval_rejects_negative_fuel():
         with pytest.raises(InputError):
             evaluate(10, [1], fuel)
         with pytest.raises(InputError):
-            U.evaluate_body(Const(1), [], fuel)
+            evaluate(encode(Const(1)), [], fuel)
     assert evaluate(10, [1], 0) == Diverged()
-    assert U.evaluate_body(Const(1), [], 0) == Diverged()
+    assert evaluate(encode(Const(1)), [], 0) == Diverged()
+
+
+@pytest.mark.parametrize("fuel", [1.5, 2.0, True, "3", None])
+def test_eval_rejects_fuel_that_is_no_int(fuel):
+    # 1.5 went 1.5, 0.5, -0.5, .. past 0 and never ran out; True counted as 1
+    with deadline(10), pytest.raises(InputError, match="fuel"):
+        evaluate(OMEGA, [OMEGA], fuel)
+
+
+def test_refutation_rejects_fuel_that_is_no_int():
+    # the candidate's run used to hang at fuel 1.5
+    with deadline(10), pytest.raises(InputError, match="fuel"):
+        refute_halting(11, 1.5)
+
+
+def _ifz_positions(body) -> set:
+    """Where ifz nodes sit: "tail" (the root), "cond", "branch", "inner"."""
+    seen, nodes = set(), [(body, "tail")]
+    while nodes:
+        node, where = nodes.pop()
+        if isinstance(node, IfZero):
+            seen.add(where)
+            nodes += [(node.cond, "cond"), (node.then, "branch"), (node.other, "branch")]
+        else:
+            nodes += [(child, "inner") for child in children(node)]
+    return seen
+
+
+def _random_program(rng: random.Random, depth: int):
+    """Any constructor, ifz at a third of the inner nodes; runs enter such programs."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.4:
+            return Var(rng.randint(0, 2))
+        if depth > 0 and rng.random() < 0.3:
+            return Const(encode(_random_program(rng, depth - 1)))
+        return Const(rng.choice((0, 1, 10, OMEGA, rng.randint(0, 40))))
+    roll = rng.random()
+    if roll < 0.35:
+        return IfZero(*(_random_program(rng, depth - 1) for _ in range(3)))
+    if roll < 0.65:
+        ctor = rng.choice((Succ, U.Pred, U.Fst, U.Snd))
+        return ctor(_random_program(rng, depth - 1))
+    ctor = rng.choice((Pair, Run, Smn))
+    return ctor(_random_program(rng, depth - 1), _random_program(rng, depth - 1))
+
+
+def test_steps_match_reference_at_least_fuel_and_one_below():
+    rng = random.Random(0x57E95)
+    classes, positions, outcomes = set(), set(), set()
+    for _ in range(400):
+        body = _random_program(rng, rng.randint(1, 5))
+        nodes = [body]
+        while nodes:
+            node = nodes.pop()
+            classes.add(type(node))
+            nodes += children(node)
+        positions |= _ifz_positions(body)
+        code = encode(body)
+        args = [rng.choice((0, 1, 5, 10, code)) for _ in range(rng.randint(0, 2))]
+        k = least_fuel(code, args)
+        if k > FUEL_CAP:
+            assert evaluate(code, args, FUEL_CAP) == reference(body, args, FUEL_CAP) == Diverged()
+            continue
+        got = evaluate(code, args, k)
+        outcomes.add(type(got))
+        assert got == reference(body, args, k) != Diverged(), (code, args, k)
+        assert evaluate(code, args, k - 1) == reference(body, args, k - 1) == Diverged()
+    assert classes == {cls for cls, _ in U.PROGRAMS.rows}
+    assert positions == {"tail", "cond", "branch", "inner"}
+    assert outcomes == {Value, Stuck}
+
+
+def test_split_gives_the_field_numbers_of_denumber():
+    rng = random.Random(200)
+    for n in [*range(10**4), *(rng.getrandbits(200) for _ in range(300))]:
+        node = U.PROGRAMS.denumber(n)
+        cls, numbers = U.PROGRAMS.split(n)
+        assert cls is type(node)
+        assert numbers == tuple(f.number(getattr(node, name)) for f, name in cls._slots)
+
+
+def test_deep_code_compiles_without_host_recursion():
+    # (ifz (succ^19000 %1) 0 1), numbered level by level: steps reads the code
+    # with its own stack, one level of split at a time
+    depth, radix = 19_000, U.PROGRAMS.radix
+    cond = encode(Var(1))
+    for _ in range(depth):
+        cond = radix * cond + Succ._tag
+    code = radix * pair(cond, pair(encode(Const(0)), encode(Const(1)))) + IfZero._tag
+    assert len(U.steps(code)) == depth + 2
+    # ifz, the succ chain and %1, then the branch taken
+    assert evaluate(code, [0], depth + 3) == Value(1)
+    assert evaluate(code, [0], depth + 2) == Diverged()
+    U.steps.cache_clear()  # the memo would hold the 19 002 steps
+
+
+def test_tail_calls_push_no_frames():
+    # OMEGA's run is its last step: a frame per turn would hold 333 333 frames
+    tracemalloc.start()
+    try:
+        assert evaluate(OMEGA, [OMEGA], 10**6) == Diverged()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_eval_deterministic():
@@ -424,6 +531,7 @@ def test_bounded_halting_matrix_size_validation():
 
 def _clear_memo():
     U.decode.cache_clear()
+    U.steps.cache_clear()
     U.smn_meta.cache_clear()
 
 
@@ -432,7 +540,7 @@ def test_memo_stays_bounded():
     for n in range(3 * U.MEMO_SIZE):
         evaluate(n, [n], 8)
         smn_meta(n, 7)
-    for memo in (U.decode, U.smn_meta):
+    for memo in (U.decode, U.steps, U.smn_meta):
         info = memo.cache_info()
         assert info.maxsize == U.MEMO_SIZE
         assert info.misses >= 3 * U.MEMO_SIZE
@@ -445,23 +553,21 @@ def test_memo_cold_and_warm_give_the_same_outcomes():
             _clear_memo()
             cold = evaluate(code, args, fuel)
             assert evaluate(code, args, fuel) == cold, (code, args, fuel)
-    assert U.decode.cache_info().hits > 0
+    # the interpreter compiles codes into steps and never decodes them
+    assert U.steps.cache_info().hits > 0
 
 
 def test_bounded_halting_matrix_cycles_through_more_programs_than_the_memo():
     n, fuel = U.MEMO_SIZE + 16, 6
     bodies = [U.PROGRAMS.denumber(j) for j in range(n)]
     want = tuple(
-        tuple(
-            1 if isinstance(U.evaluate_body(body, [i], fuel), Value) else 0
-            for body in bodies
-        )
+        tuple(1 if isinstance(reference(body, [i], fuel), Value) else 0 for body in bodies)
         for i in range(n)
     )
     _clear_memo()
     assert U.bounded_halting_matrix(n, fuel).rel == want
-    # filled column by column, each program's code is decoded once
-    assert U.decode.cache_info().misses <= n
+    # filled column by column, each program's code is compiled once
+    assert U.steps.cache_info().misses <= n
 
 
 def test_program_notation_roundtrip():
