@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import core, formal, instances, universe
 from .errors import InputError, NotApplicableError
@@ -31,10 +31,6 @@ NONRE_SIZE = 16
 NONRE_FUEL = 32
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _outcome_json(outcome: universe.Outcome, fuel: int) -> dict:
     match outcome:
         case universe.Value(n):
@@ -44,22 +40,6 @@ def _outcome_json(outcome: universe.Outcome, fuel: int) -> dict:
         case universe.Stuck():
             return {"kind": "stuck"}
     raise TypeError(f"not an outcome: {outcome!r}")
-
-
-def _witness_json(
-    f: core.EvalMatrix, report: core.NonRepresentabilityReport
-) -> list[dict]:
-    return [
-        {
-            "column": s,
-            "column_label": f.cols.label(s),
-            "row": t,
-            "row_label": f.rows.label(t),
-            "g_value": report.g.values[t],
-            "cell_value": f.cell[t][s],
-        }
-        for s, t in enumerate(report.witness_rows)
-    ]
 
 
 def _nonrep_payload(
@@ -75,19 +55,29 @@ def _nonrep_payload(
         "values": f.y.size,
         "g": list(report.g.values),
         "witness_rows": list(report.witness_rows),
-        "witness": _witness_json(f, report),
+        "witness": [
+            {
+                "column": s,
+                "column_label": f.cols.label(s),
+                "row": t,
+                "row_label": f.rows.label(t),
+                "g_value": report.g.values[t],
+                "cell_value": f.cell[t][s],
+            }
+            for s, t in enumerate(report.witness_rows)
+        ],
     }
     return payload, core.verify_nonrepresentability(f, report)
 
 
 def _bundled_inputs(name: str) -> dict:
     data = resources.files("diagkit.data").joinpath(name).read_bytes()
-    return {"source": f"bundled:{name}", "sha256": _sha256_bytes(data)}
+    return {"source": f"bundled:{name}", "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _args_inputs(args: dict) -> dict:
     data = json.dumps(args, sort_keys=True, separators=(",", ":")).encode()
-    return {"args": args, "sha256": _sha256_bytes(data)}
+    return {"args": args, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _require(data: dict, field: str, kind: type) -> Any:
@@ -106,6 +96,14 @@ def _str_list(data: dict, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _checked(where: str, build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), naming `where` in front of the message of any InputError."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def load_matrix_file(
     path: str, want_section: bool
 ) -> tuple[core.EvalMatrix, core.EndoMap, Optional[core.Section], dict]:
@@ -122,46 +120,27 @@ def load_matrix_file(
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
 
-    y_labels = _str_list(data, "y_labels")
-    t_labels = _str_list(data, "t_labels")
-    s_labels = _str_list(data, "s_labels")
-    try:
-        y = core.Carrier(len(y_labels), y_labels)
-        rows = core.Carrier(len(t_labels), t_labels)
-        cols = core.Carrier(len(s_labels), s_labels)
-    except InputError as exc:
-        raise InputError(f"bad carrier labels: {exc}") from exc
-
-    # the lists are read outside the try blocks: their errors name the field already
-    alpha_images = _require(data, "alpha", list)
-    try:
-        alpha = core.EndoMap(y, alpha_images)
-    except InputError as exc:
-        raise InputError(f"field 'alpha': {exc}") from exc
-
+    # each list is read before its check: a list's own errors name the field already
+    labels = [_str_list(data, f"{c}_labels") for c in "yts"]
+    y, rows, cols = (_checked("bad carrier labels", core.Carrier, len(x), x) for x in labels)
+    alpha = _checked("field 'alpha'", core.EndoMap, y, _require(data, "alpha", list))
     cell = _require(data, "f", list)
     if any(not isinstance(row, list) for row in cell):
         raise InputError("field 'f' must be a list of rows")
-    try:
-        f = core.EvalMatrix(rows=rows, cols=cols, y=y, cell=cell)
-    except InputError as exc:
-        raise InputError(f"field 'f': {exc}") from exc
+    f = _checked("field 'f'", core.EvalMatrix, rows, cols, y, cell)
 
     section = None
     if want_section:
         if "beta" not in data or "beta_bar" not in data:
             raise InputError("--section requires fields 'beta' and 'beta_bar'")
         beta, beta_bar = _require(data, "beta", list), _require(data, "beta_bar", list)
-        try:
-            section = core.Section(beta, beta_bar)
-        except InputError as exc:
-            raise InputError(f"fields 'beta'/'beta_bar': {exc}") from exc
+        section = _checked("fields 'beta'/'beta_bar'", core.Section, beta, beta_bar)
         if len(section.beta) != rows.size:
             raise InputError("field 'beta': must have one entry per row")
         if len(section.beta_bar) != cols.size:
             raise InputError("field 'beta_bar': must have one entry per column")
 
-    inputs = {"source": path, "sha256": _sha256_bytes(raw)}
+    inputs = {"source": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return f, alpha, section, inputs
 
 
@@ -187,44 +166,40 @@ def _halting_table(n: int, fuel: int) -> tuple[instances.DescribesMatrix, list[i
 
 def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     which = args.table
+    if which == "nonre":
+        # the fuel-bounded halting table fed back through the relation instance
+        _, language, payload, ok = _halting_table(NONRE_SIZE, NONRE_FUEL)
+        payload.update(n=NONRE_SIZE, fuel=NONRE_FUEL, diagonal_language=language)
+        payload["note"] = (
+            "fuel-bounded approximation: column m is the set of inputs where "
+            f"program m halts within {NONRE_FUEL} steps"
+        )
+        return _args_inputs({"table": "nonre", "n": NONRE_SIZE, "fuel": NONRE_FUEL}), payload, ok
+    # each bundled table: its matrix, its certificate and the keys that follow the common ones
     if which == "powerset":
         fam, src = instances.demo_subset_family()
         g, report = instances.powerset_instance(fam)
         f = instances.membership_matrix(fam)
-        payload, ok = _nonrep_payload(f, report, "diagonal")
-        payload["missing_set"] = [i for i, bit in enumerate(g) if bit == 1]
-        return _bundled_inputs(src), payload, ok
-    if which in ("russell", "grelling"):
+        extras = {"missing_set": [i for i, bit in enumerate(g) if bit == 1]}
+    elif which in ("russell", "grelling"):
         m, src = instances.demo_russell() if which == "russell" else instances.demo_grelling()
         het, report = instances.relation_instance(m)
         f = instances.describes_matrix(m)
-        payload, ok = _nonrep_payload(f, report, "diagonal")
         key = "non_self_members" if which == "russell" else "heterological"
-        payload[key] = [m.labels[i] for i, bit in enumerate(het) if bit == 1]
-        return _bundled_inputs(src), payload, ok
-    if which == "strong-liar":
+        extras = {key: [m.labels[i] for i, bit in enumerate(het) if bit == 1]}
+    elif which == "strong-liar":
         m, src = instances.demo_strong_liar()
         letters, report = instances.strong_liar_instance(m)
         f = instances.tri_valued_matrix(m)
-        payload, ok = _nonrep_payload(f, report, "diagonal")
-        payload["twisted_diagonal"] = list(letters)
-        return _bundled_inputs(src), payload, ok
-    if which == "richard":
+        extras = {"twisted_diagonal": list(letters)}
+    else:
         m, src = instances.demo_richard()
         digits, report = instances.richard_instance(m)
         f = instances.digit_matrix(m)
-        payload, ok = _nonrep_payload(f, report, "diagonal")
-        payload["digits"] = list(digits)
-        payload["described_reals"] = list(m.labels)
-        return _bundled_inputs(src), payload, ok
-    # nonre: the fuel-bounded halting table fed back through the relation instance
-    _, language, payload, ok = _halting_table(NONRE_SIZE, NONRE_FUEL)
-    payload.update(n=NONRE_SIZE, fuel=NONRE_FUEL, diagonal_language=language)
-    payload["note"] = (
-        "fuel-bounded approximation: column m is the set of inputs where "
-        f"program m halts within {NONRE_FUEL} steps"
-    )
-    return _args_inputs({"table": "nonre", "n": NONRE_SIZE, "fuel": NONRE_FUEL}), payload, ok
+        extras = {"digits": list(digits), "described_reals": list(m.labels)}
+    payload, ok = _nonrep_payload(f, report, "diagonal")
+    payload.update(extras)
+    return _bundled_inputs(src), payload, ok
 
 
 def _cmd_quine(args: argparse.Namespace) -> tuple[dict, dict, bool]:

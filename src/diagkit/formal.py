@@ -270,6 +270,8 @@ def tarski_sentence() -> LemmaCertificate:
 
 def parikh_sentence(n: int) -> LemmaCertificate:
     """C_n saying "I have no proof shorter than n"."""
+    if type(n) is not int:
+        raise InputError(f"proof-length bound must be an int, got {n!r}")
     if n < 1:
         raise InputError("proof-length bound must be at least 1")
     e = Not(

@@ -122,8 +122,8 @@ class Sort:
         self.head_error = head_error
         self.radix = 0
         # (class, fields or None for a leaf) by tag: plain tuples keep
-        # `denumber` as fast as a hand-written decoder, and the interpreter
-        # decodes every program it runs
+        # `denumber` and `split` as fast as hand-written decoders, and the
+        # interpreter reads every program it runs through `split`
         self.rows: list[tuple[type, Optional[tuple]]] = []
         # head word -> (class, values it fills, fields left, arity, arity error text)
         self.heads: dict[str, tuple[type, tuple, tuple, int, str]] = {}

@@ -371,11 +371,13 @@ class RiceReport:
 
     def __post_init__(self) -> None:
         h = encode(IfZero(Run(Const(self.decider), Var(1)), Const(self.a), Const(self.b)))
-        n0, switched, samples = recursion_check(
-            h, self.fuel + _SWITCH_ALLOWANCE, (self.fuel,), RICE_SAMPLE_INPUTS
-        )
+        n0 = recursion_fixed_point(h)
+        # the decider runs first: a bad fuel is reported as given, not plus the allowance
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "decider_answer", evaluate(self.decider, [n0], self.fuel))
+        _, switched, samples = recursion_check(
+            h, self.fuel + _SWITCH_ALLOWANCE, (self.fuel,), RICE_SAMPLE_INPUTS
+        )
         object.__setattr__(self, "switched_to", switched)
         samples = tuple((x, left, right) for x, left, right, _ in samples)
         object.__setattr__(self, "samples", samples)
@@ -412,6 +414,8 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     A finite, fuel-bounded shadow of the exact halting table: column m only
     approximates the true halting set of phi_m from below.
     """
+    if type(n) is not int:
+        raise InputError(f"matrix size must be an int, got {n!r}")
     if n < 1:
         raise InputError("matrix size must be at least 1")
     # column by column, so that each program's steps stay in the memo

@@ -302,8 +302,37 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
             lambda d: d.update(beta=[0, 9, 0, 1]),
             "fields 'beta'/'beta_bar': beta[1] lies outside the column carrier",
         ),
+        (
+            lambda d: d.update(y_labels=["a", "a"]),
+            "bad carrier labels: carrier labels must be pairwise distinct",
+        ),
+        (
+            lambda d: d.update(f=[[0, 1]]),
+            "field 'f': matrix must have one row per row-carrier element",
+        ),
+        (
+            lambda d: d.update(f=[d["f"][0][:-1]] + d["f"][1:]),
+            "field 'f': row 0 must have one entry per column",
+        ),
+        (lambda d: d.update(f=[1, 2, 3, 4]), "field 'f' must be a list of rows"),
+        (
+            lambda d: d.update(beta_bar=[0, 1, 2, 9]),
+            "fields 'beta'/'beta_bar': beta_bar[3] lies outside the row carrier",
+        ),
     ],
-    ids=["alpha-missing", "alpha-not-list", "alpha-range", "beta-type", "beta-bar-missing", "beta-range"],
+    ids=[
+        "alpha-missing",
+        "alpha-not-list",
+        "alpha-range",
+        "beta-type",
+        "beta-bar-missing",
+        "beta-range",
+        "labels-repeated",
+        "f-row-count",
+        "f-row-length",
+        "f-not-rows",
+        "beta-bar-range",
+    ],
 )
 def test_matrix_file_errors_name_their_field_once(tmp_path, capsys, mutate, message):
     data = dict(GRELLING_FILE, beta=[0, 1, 2, 3], beta_bar=[0, 1, 2, 3])

@@ -223,7 +223,7 @@ def test_lemma_certificate_accepts_random_certificates():
 
 
 @pytest.mark.parametrize("build", NAMED_BUILDERS.values(), ids=list(NAMED_BUILDERS))
-def test_verify_sentence_rejects_each_changed_field(build):
+def test_lemma_certificate_rejects_each_changed_field(build):
     cert = build()
     changes = {
         "c_number": cert.c_number + 1,
@@ -285,6 +285,13 @@ def test_parikh_sentence_shape():
     assert cert.e == bound
     with pytest.raises(InputError):
         F.parikh_sentence(0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None])
+def test_parikh_sentence_rejects_bound_that_is_no_int(n):
+    # 1.5 used to raise TypeError from indexing, and True verified as the bound 1
+    with pytest.raises(InputError, match="proof-length bound must be an int"):
+        F.parikh_sentence(n)
 
 
 def test_curry_sentence_unquote_step():

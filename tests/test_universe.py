@@ -178,6 +178,15 @@ def test_refutation_rejects_fuel_that_is_no_int():
         refute_halting(11, 1.5)
 
 
+@pytest.mark.parametrize("fuel", [1.5, "3", None])
+def test_rice_names_the_fuel_it_was_given(fuel):
+    # the allowance used to be added first: 1.5 was named as 6.5, and "3" or None
+    # raised TypeError
+    message = f"fuel must be a natural number, got {fuel!r}$"
+    with deadline(10), pytest.raises(InputError, match=message):
+        U.rice_contradiction(11, 1, 2, fuel)
+
+
 def _ifz_positions(body) -> set:
     """Where ifz nodes sit: "tail" (the root), "cond", "branch", "inner"."""
     seen, nodes = set(), [(body, "tail")]
@@ -527,6 +536,13 @@ def test_bounded_halting_matrix_omega_cell_rule():
 def test_bounded_halting_matrix_size_validation():
     with pytest.raises(InputError):
         U.bounded_halting_matrix(0, 10)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_bounded_halting_matrix_rejects_size_that_is_no_int(n):
+    # 2.5 used to raise TypeError from range, and True gave a 1 x 1 table
+    with pytest.raises(InputError, match="matrix size must be an int"):
+        U.bounded_halting_matrix(n, 8)
 
 
 def _clear_memo():
