@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 from typing import Any, Callable, Optional
 
-from . import core, formal, instances, universe
+from . import core, formal, instances, syntax, universe
 from .errors import InputError, NotApplicableError
 
 QUINE_FUEL = 10**6
@@ -313,8 +313,10 @@ def _sentence_report(
         "variable": formal.var_name(cert.variable),
         "g": formal.format_formula(cert.g),
         "c": formal.format_formula(cert.c),
-        "g_number_digits": len(str(cert.g_number)),
-        "c_number_digits": len(str(cert.c_number)),
+        # from the numeral printer's memo: G's number printed in c above,
+        # and C's prints in reduced and target below
+        "g_number_digits": len(syntax.NAT.name(cert.g_number)),
+        "c_number_digits": len(syntax.NAT.name(cert.c_number)),
         "reduced": formal.format_formula(cert.reduced),
         "target": formal.format_formula(cert.target),
         **extras,

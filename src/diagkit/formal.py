@@ -96,8 +96,13 @@ Pred, Less, Not, And, Or, Imp, Iff, ForAll, Exists, Unquote = FORMULAS.declare(
 )
 
 
-goedel_number, formula_of = FORMULAS.number, FORMULAS.denumber
+goedel_number = FORMULAS.number
 format_formula, parse_formula = FORMULAS.format, FORMULAS.parse
+
+
+def formula_of(n: int) -> Formula:
+    """The formula numbered n, for a natural n; every natural is a formula."""
+    return FORMULAS.denumber(syntax.natural(n, "Gödel number"))
 
 
 def free_vars(phi: Formula) -> frozenset[int]:

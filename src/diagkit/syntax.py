@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import make_dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -68,8 +69,26 @@ class Scalar:
     denumber = number
 
 
+# A report prints each big number several times (a sentence's own number in
+# both sides of its certificate), and str(int) is quadratic before 3.12, so
+# the printer keeps the decimals of its 32 most recent numbers. typed: an
+# untyped memo would print True as 1, or 1 as True, whichever came first.
 # isdecimal, not isdigit: "²" is a digit that int() does not read
-NAT = Scalar(str, lambda text: int(text) if text.isdecimal() else None)
+NAT = Scalar(
+    lru_cache(maxsize=32, typed=True)(str),
+    lambda text: int(text) if text.isdecimal() else None,
+)
+
+
+def natural(n: Any, what: str) -> int:
+    """n if it is an `int` by type and not negative, else an `InputError`.
+
+    By identity, as for fuel: `True` is no natural, and a decoder given 1.5
+    or -1 would index a row with a float or take the root of a negative.
+    """
+    if type(n) is not int or n < 0:
+        raise InputError(f"{what} must be a natural number, got {n!r}")
+    return n
 
 
 class Many:

@@ -89,7 +89,17 @@ encode, parse_program, format_program = PROGRAMS.number, PROGRAMS.parse, PROGRAM
 # changes no outcome; self-application re-enters the same few codes at every
 # turn.
 MEMO_SIZE = 256
-decode = lru_cache(maxsize=MEMO_SIZE)(PROGRAMS.denumber)
+_decode = lru_cache(maxsize=MEMO_SIZE)(PROGRAMS.denumber)
+
+
+def decode(p: int) -> Expr:
+    """The body of program p, for a natural p; every natural is a program."""
+    # before the memo, which is untyped: True would find the entry for 1
+    return _decode(syntax.natural(p, "program code"))
+
+
+# the memo's hits and size, and emptying it, as on `steps` and `smn_meta`
+decode.cache_info, decode.cache_clear = _decode.cache_info, _decode.cache_clear
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -207,12 +207,27 @@ def test_formal_report_reverifies_through_library(capsys):
     assert formal.parse_formula(cert["reduced"]) == target
 
 
-def test_formal_print_number(capsys):
-    _, out = run(["formal", "tarski", "--print-number"], capsys)
+def and_chain(depth):
+    """A closed formula: `and` nested `depth` deep on the left."""
+    text = "(P 0)"
+    for _ in range(depth):
+        text = f"(and {text} (P 0))"
+    return text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tarski"], ["rosser"], ["curry", "--a", and_chain(6)]],
+    ids=["tarski", "rosser", "curry-and-6"],
+)
+def test_formal_print_number(argv, capsys):
+    _, out = run(["formal", *argv, "--print-number"], capsys)
     report = json.loads(out)
     cert = report["certificate"]
     assert cert["c_number"] == formal.goedel_number(formal.parse_formula(cert["c"]))
-    assert len(str(cert["c_number"])) == cert["c_number_digits"]
+    # the counts come from the numeral printer's memo, not from str()
+    assert cert["g_number_digits"] == len(str(cert["g_number"]))
+    assert cert["c_number_digits"] == len(str(cert["c_number"]))
 
 
 def write_matrix(tmp_path, data):

@@ -294,6 +294,27 @@ def test_parikh_sentence_rejects_bound_that_is_no_int(n):
         F.parikh_sentence(n)
 
 
+@pytest.mark.parametrize(
+    "call,n",
+    [
+        (formula_of, -5),
+        (formula_of, 1.5),
+        (formula_of, 2.0),
+        (formula_of, True),
+        (formula_of, "3"),
+        (diag_meta, -5),
+        (lambda n: F.unquote_once(Unquote(Num(n))), -3),
+    ],
+    ids=["negative", "float", "integral-float", "bool", "str", "diag-meta", "unquote"],
+)
+def test_decoding_a_formula_rejects_a_number_that_is_no_natural(call, n):
+    # -5 used to raise ValueError from isqrt, 1.5 TypeError from indexing,
+    # and True decoded as 1
+    formula_of(1)
+    with pytest.raises(InputError, match=f"Gödel number must be a natural number, got {n!r}"):
+        call(n)
+
+
 def test_curry_sentence_unquote_step():
     a = Pred(PROV, (Num(0), Num(0)))
     cert = F.curry_sentence(a)

@@ -108,3 +108,52 @@ def test_declare_makes_a_sort_from_rows_alone():
     for node in (a, b):
         assert trees.denumber(trees.number(node)) == node
         assert trees.parse(trees.format(node)) == node
+
+
+@pytest.mark.parametrize(
+    "values", [(1, True, 1.0), (1.0, True, 1)], ids=["int-first", "float-first"]
+)
+def test_numerals_print_as_str_prints_them_in_either_order(values):
+    # an untyped memo prints the later of 1, True and 1.0 as the first
+    syntax.NAT.name.cache_clear()
+    for _ in range(2):
+        assert [F.TERMS.format(F.Num(v)) for v in values] == [str(v) for v in values]
+
+
+def test_numeral_memo_stays_bounded():
+    syntax.NAT.name.cache_clear()
+    maxsize = syntax.NAT.name.cache_info().maxsize
+    for n in range(3 * maxsize):
+        assert F.TERMS.format(F.Num(10**40 + n)) == str(10**40 + n)
+    info = syntax.NAT.name.cache_info()
+    assert info.misses >= 3 * maxsize
+    assert info.currsize <= maxsize
+
+
+def _curry_and_chain(depth):
+    a = F.Pred(F.SYMBOLS["P"][0], (F.Num(0),))
+    for _ in range(depth):
+        a = F.And(a, F.Pred(F.SYMBOLS["P"][0], (F.Num(0),)))
+    return F.curry_sentence(a)
+
+
+@pytest.mark.parametrize(
+    "build", [F.rosser_sentence, lambda: _curry_and_chain(6)], ids=["rosser", "curry-and-6"]
+)
+def test_cold_and_warm_numeral_memo_print_the_same_texts(build):
+    cert = build()
+    nodes = (cert.e, cert.g, cert.c, cert.reduced, cert.target)
+    syntax.NAT.name.cache_clear()
+    cold = [F.format_formula(p) for p in nodes]
+    warm = [F.format_formula(p) for p in nodes]
+    assert warm == cold
+    assert syntax.NAT.name.cache_info().hits > 0
+    # C's number prints in both sides of the certificate
+    c_digits = str(cert.c_number)
+    assert cold[3].count(c_digits) == cold[4].count(c_digits) > 0
+
+
+def test_a_numeral_that_is_a_list_does_not_print():
+    # a list is no natural; the memo cannot hash it (it used to print as (T [1]))
+    with pytest.raises(TypeError, match="unhashable"):
+        F.format_formula(F.Pred(F.SYMBOLS["T"][0], (F.Num([1]),)))

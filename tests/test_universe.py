@@ -545,6 +545,15 @@ def test_bounded_halting_matrix_rejects_size_that_is_no_int(n):
         U.bounded_halting_matrix(n, 8)
 
 
+@pytest.mark.parametrize("code", [-1, 1.5, 2.0, True, "3", None])
+def test_decode_rejects_a_code_that_is_no_natural(code):
+    # -1 used to raise ValueError from isqrt and 1.5 TypeError from indexing;
+    # True found the memo's entry for 1, or decoded as 1
+    decode(1)
+    with pytest.raises(InputError, match=f"program code must be a natural number, got {code!r}"):
+        decode(code)
+
+
 def _clear_memo():
     U.decode.cache_clear()
     U.steps.cache_clear()
