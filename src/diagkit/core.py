@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, natural
 
 
 def _stray(values: Sequence, indices: frozenset) -> Optional[int]:
@@ -48,10 +48,7 @@ class Carrier:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if type(self.size) is not int:
-            raise InputError(f"carrier size must be an int, not {self.size!r}")
-        if self.size < 1:
-            raise InputError("carrier size must be at least 1")
+        natural(self.size, "carrier size", least=1)
         if self.labels is not None:
             _freeze(self, "labels")
             if len(self.labels) != self.size:

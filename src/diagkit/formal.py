@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from . import syntax
-from .errors import InputError
+from .errors import InputError, natural
 
 Term = Union["Var", "Num", "Diag", "Neg"]
 Formula = Union[
@@ -102,7 +102,7 @@ format_formula, parse_formula = FORMULAS.format, FORMULAS.parse
 
 def formula_of(n: int) -> Formula:
     """The formula numbered n, for a natural n; every natural is a formula."""
-    return FORMULAS.denumber(syntax.natural(n, "Gödel number"))
+    return FORMULAS.denumber(natural(n, "Gödel number"))
 
 
 def free_vars(phi: Formula) -> frozenset[int]:
@@ -275,10 +275,7 @@ def tarski_sentence() -> LemmaCertificate:
 
 def parikh_sentence(n: int) -> LemmaCertificate:
     """C_n saying "I have no proof shorter than n"."""
-    if type(n) is not int:
-        raise InputError(f"proof-length bound must be an int, got {n!r}")
-    if n < 1:
-        raise InputError("proof-length bound must be at least 1")
+    natural(n, "proof-length bound", least=1)
     e = Not(
         Exists(
             M,

@@ -23,7 +23,7 @@ from math import isqrt
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from . import sexpr
-from .errors import InputError
+from .errors import InputError, natural
 
 
 def pair(a: int, b: int) -> int:
@@ -64,9 +64,11 @@ class Scalar:
         self.code = code
 
     def number(self, value: int) -> int:
-        return value
+        return natural(value, "scalar field")
 
-    denumber = number
+    def denumber(self, n: int) -> int:
+        # a decoded field is a natural by construction
+        return n
 
 
 # A report prints each big number several times (a sentence's own number in
@@ -78,17 +80,6 @@ NAT = Scalar(
     lru_cache(maxsize=32, typed=True)(str),
     lambda text: int(text) if text.isdecimal() else None,
 )
-
-
-def natural(n: Any, what: str) -> int:
-    """n if it is an `int` by type and not negative, else an `InputError`.
-
-    By identity, as for fuel: `True` is no natural, and a decoder given 1.5
-    or -1 would index a row with a float or take the root of a negative.
-    """
-    if type(n) is not int or n < 0:
-        raise InputError(f"{what} must be a natural number, got {n!r}")
-    return n
 
 
 class Many:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from . import syntax
-from .errors import InputError
+from .errors import InputError, natural
 from .instances import DescribesMatrix
 from .syntax import pair, unpair
 
@@ -84,22 +84,15 @@ Var, Const, Succ, Pred, IfZero, Pair, Fst, Snd, Run, Smn = PROGRAMS.declare(
 # a body's code is 10 * payload + constructor tag; its numerals are constants
 encode, parse_program, format_program = PROGRAMS.number, PROGRAMS.parse, PROGRAMS.format
 
-# `decode`, `steps` and `smn_meta` keep this many recent results each. All
-# three are pure, charge no fuel and return immutable values, so the memo
-# changes no outcome; self-application re-enters the same few codes at every
-# turn.
+# `steps` and `smn_meta` keep this many recent results each. Both are pure,
+# charge no fuel and return immutable values, so the memo changes no outcome;
+# self-application re-enters the same few codes at every turn.
 MEMO_SIZE = 256
-_decode = lru_cache(maxsize=MEMO_SIZE)(PROGRAMS.denumber)
 
 
 def decode(p: int) -> Expr:
     """The body of program p, for a natural p; every natural is a program."""
-    # before the memo, which is untyped: True would find the entry for 1
-    return _decode(syntax.natural(p, "program code"))
-
-
-# the memo's hits and size, and emptying it, as on `steps` and `smn_meta`
-decode.cache_info, decode.cache_clear = _decode.cache_info, _decode.cache_clear
+    return PROGRAMS.denumber(natural(p, "program code"))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -147,8 +140,7 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     """
     # the loop counts fuel down to 0: a negative budget would never run out,
     # and neither would 1.5; True would count as 1
-    if type(fuel) is not int or fuel < 0:
-        raise InputError(f"fuel must be a natural number, got {fuel!r}")
+    natural(fuel, "fuel")
     # todo walks the steps of the code being run; a frame (todo, env) is kept
     # for each run or ifz call not in tail position, to resume after it. The
     # last arm takes the class left over, Smn.
@@ -380,14 +372,14 @@ class RiceReport:
     DECIDER_NOT_TOTAL = "DeciderNotTotal"
 
     def __post_init__(self) -> None:
+        # a bad fuel is reported as given, not plus the allowance
+        natural(self.fuel, "fuel")
         h = encode(IfZero(Run(Const(self.decider), Var(1)), Const(self.a), Const(self.b)))
-        n0 = recursion_fixed_point(h)
-        # the decider runs first: a bad fuel is reported as given, not plus the allowance
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "decider_answer", evaluate(self.decider, [n0], self.fuel))
-        _, switched, samples = recursion_check(
+        n0, switched, samples = recursion_check(
             h, self.fuel + _SWITCH_ALLOWANCE, (self.fuel,), RICE_SAMPLE_INPUTS
         )
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "decider_answer", evaluate(self.decider, [n0], self.fuel))
         object.__setattr__(self, "switched_to", switched)
         samples = tuple((x, left, right) for x, left, right, _ in samples)
         object.__setattr__(self, "samples", samples)
@@ -424,10 +416,7 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     A finite, fuel-bounded shadow of the exact halting table: column m only
     approximates the true halting set of phi_m from below.
     """
-    if type(n) is not int:
-        raise InputError(f"matrix size must be an int, got {n!r}")
-    if n < 1:
-        raise InputError("matrix size must be at least 1")
+    natural(n, "matrix size", least=1)
     # column by column, so that each program's steps stay in the memo
     cols = [
         [1 if isinstance(evaluate(j, [i], fuel), Value) else 0 for i in range(n)]

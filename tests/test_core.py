@@ -45,8 +45,9 @@ def test_carrier_validation():
         Carrier(2, ("a",))
     with pytest.raises(InputError):
         Carrier(2, ("a", "a"))
-    for size in (2.5, True):
-        with pytest.raises(InputError, match="carrier size must be an int"):
+    for size in (-1, 0, 2.5, 1.5, 2.0, True, None, "3", [1]):
+        message = f"carrier size must be an int.*, got {re.escape(repr(size))}$"
+        with pytest.raises(InputError, match=message):
             Carrier(size)
 
 

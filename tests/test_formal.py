@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -287,10 +288,11 @@ def test_parikh_sentence_shape():
         F.parikh_sentence(0)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None, -1, 0, [1]])
 def test_parikh_sentence_rejects_bound_that_is_no_int(n):
     # 1.5 used to raise TypeError from indexing, and True verified as the bound 1
-    with pytest.raises(InputError, match="proof-length bound must be an int"):
+    message = f"proof-length bound must be an int.*, got {re.escape(repr(n))}$"
+    with pytest.raises(InputError, match=message):
         F.parikh_sentence(n)
 
 
@@ -304,15 +306,37 @@ def test_parikh_sentence_rejects_bound_that_is_no_int(n):
         (formula_of, "3"),
         (diag_meta, -5),
         (lambda n: F.unquote_once(Unquote(Num(n))), -3),
+        (formula_of, None),
+        (formula_of, [1]),
     ],
-    ids=["negative", "float", "integral-float", "bool", "str", "diag-meta", "unquote"],
+    ids=[
+        "negative", "float", "integral-float", "bool", "str", "diag-meta", "unquote",
+        "none", "list",
+    ],
 )
 def test_decoding_a_formula_rejects_a_number_that_is_no_natural(call, n):
     # -5 used to raise ValueError from isqrt, 1.5 TypeError from indexing,
     # and True decoded as 1
     formula_of(1)
-    with pytest.raises(InputError, match=f"Gödel number must be a natural number, got {n!r}"):
+    message = f"Gödel number must be a natural number, got {re.escape(repr(n))}$"
+    with pytest.raises(InputError, match=message):
         call(n)
+
+
+@pytest.mark.parametrize(
+    "formula,bad",
+    [
+        (Pred(0, (Num(-2),)), -2),
+        (Pred(0, (Num(1.5),)), 1.5),
+        (Pred(-1, ()), -1),
+        (ForAll(-1, Pred(0, ())), -1),
+    ],
+    ids=["negative-numeral", "float-numeral", "negative-symbol", "negative-variable"],
+)
+def test_goedel_number_rejects_a_field_that_is_no_natural(formula, bad):
+    # Pred(0, (Num(-2),)) used to number as 2750, the number of Pred(0, (Diag(Num(0)),))
+    with pytest.raises(InputError, match=f"must be a natural number, got {bad!r}$"):
+        goedel_number(formula)
 
 
 def test_curry_sentence_unquote_step():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -165,10 +166,11 @@ def test_eval_rejects_negative_fuel():
     assert evaluate(encode(Const(1)), [], 0) == Diverged()
 
 
-@pytest.mark.parametrize("fuel", [1.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("fuel", [1.5, 2.0, True, "3", None, -1, [1]])
 def test_eval_rejects_fuel_that_is_no_int(fuel):
     # 1.5 went 1.5, 0.5, -0.5, .. past 0 and never ran out; True counted as 1
-    with deadline(10), pytest.raises(InputError, match="fuel"):
+    message = f"fuel must be a natural number, got {re.escape(repr(fuel))}$"
+    with deadline(10), pytest.raises(InputError, match=message):
         evaluate(OMEGA, [OMEGA], fuel)
 
 
@@ -176,6 +178,23 @@ def test_refutation_rejects_fuel_that_is_no_int():
     # the candidate's run used to hang at fuel 1.5
     with deadline(10), pytest.raises(InputError, match="fuel"):
         refute_halting(11, 1.5)
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        (lambda: encode(Var(-1)), -1),
+        (lambda: encode(Const(1.5)), 1.5),
+        (lambda: encode(Succ(Const(True))), True),
+        (lambda: refute_halting(-1, 10), -1),
+    ],
+    ids=["negative-index", "float-value", "bool-value", "negative-candidate"],
+)
+def test_numbering_a_program_rejects_a_field_that_is_no_natural(build, bad):
+    # encode(Var(-1)) used to give -10 and encode(Const(1.5)) 16.0; refute_halting
+    # encodes its candidate into g, and -1 raised ValueError from isqrt
+    with deadline(10), pytest.raises(InputError, match=f"must be a natural number, got {bad!r}$"):
+        build()
 
 
 @pytest.mark.parametrize("fuel", [1.5, "3", None])
@@ -538,24 +557,25 @@ def test_bounded_halting_matrix_size_validation():
         U.bounded_halting_matrix(0, 10)
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None, -1, 0, 1.5, [1]])
 def test_bounded_halting_matrix_rejects_size_that_is_no_int(n):
     # 2.5 used to raise TypeError from range, and True gave a 1 x 1 table
-    with pytest.raises(InputError, match="matrix size must be an int"):
+    message = f"matrix size must be an int.*, got {re.escape(repr(n))}$"
+    with pytest.raises(InputError, match=message):
         U.bounded_halting_matrix(n, 8)
 
 
-@pytest.mark.parametrize("code", [-1, 1.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("code", [-1, 1.5, 2.0, True, "3", None, [1]])
 def test_decode_rejects_a_code_that_is_no_natural(code):
     # -1 used to raise ValueError from isqrt and 1.5 TypeError from indexing;
     # True found the memo's entry for 1, or decoded as 1
     decode(1)
-    with pytest.raises(InputError, match=f"program code must be a natural number, got {code!r}"):
+    message = f"program code must be a natural number, got {re.escape(repr(code))}$"
+    with pytest.raises(InputError, match=message):
         decode(code)
 
 
 def _clear_memo():
-    U.decode.cache_clear()
     U.steps.cache_clear()
     U.smn_meta.cache_clear()
 
@@ -565,7 +585,7 @@ def test_memo_stays_bounded():
     for n in range(3 * U.MEMO_SIZE):
         evaluate(n, [n], 8)
         smn_meta(n, 7)
-    for memo in (U.decode, U.steps, U.smn_meta):
+    for memo in (U.steps, U.smn_meta):
         info = memo.cache_info()
         assert info.maxsize == U.MEMO_SIZE
         assert info.misses >= 3 * U.MEMO_SIZE
