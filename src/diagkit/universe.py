@@ -130,6 +130,24 @@ def steps(p: int) -> tuple[tuple[type, int, object], ...]:
     return tuple(out)
 
 
+def reads_argument(p: int) -> bool:
+    """Whether `Var 1`, the one reader of a program's input, occurs in p's code.
+
+    Both `ifz` branches count, taken or not. Without it p computes the same
+    values and spends the same fuel on every input, since a `run` step gives
+    its callee a fresh argument made from values.
+    """
+    todo = [p]
+    while todo:
+        cls, fields = PROGRAMS.split(todo.pop())
+        if cls is Var:
+            if fields[0] == 1:
+                return True
+        elif cls is not Const:  # a constant's field is a numeral
+            todo.extend(fields)
+    return False
+
+
 def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     """Run program p on args with a shared step budget.
 
@@ -139,8 +157,12 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     natural number; fuel 0 is Diverged at once.
     """
     # the loop counts fuel down to 0: a negative budget would never run out,
-    # and neither would 1.5; True would count as 1
+    # and neither would 1.5; True would count as 1. The code and arguments
+    # are checked here only: a nested run gets naturals made from naturals.
     natural(fuel, "fuel")
+    natural(p, "program code")
+    for x in args:
+        natural(x, "program argument")
     # todo walks the steps of the code being run; a frame (todo, env) is kept
     # for each run or ifz call not in tail position, to resume after it. The
     # last arm takes the class left over, Smn.
@@ -414,12 +436,18 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     """rel[i][j] = 1 iff program j halts on input i within the fuel budget.
 
     A finite, fuel-bounded shadow of the exact halting table: column m only
-    approximates the true halting set of phi_m from below.
+    approximates the true halting set of phi_m from below. A program that
+    never reads its argument (`reads_argument`) has the same outcome on
+    every input, so its column is run once, on input 0, and repeated.
     """
     natural(n, "matrix size", least=1)
+
+    def halts(j: int, i: int) -> int:
+        return 1 if isinstance(evaluate(j, [i], fuel), Value) else 0
+
     # column by column, so that each program's steps stay in the memo
     cols = [
-        [1 if isinstance(evaluate(j, [i], fuel), Value) else 0 for i in range(n)]
+        [halts(j, i) for i in range(n)] if reads_argument(j) else [halts(j, 0)] * n
         for j in range(n)
     ]
     rel = tuple(zip(*cols))

@@ -22,6 +22,8 @@ ENTRIES = {
     **POSITIVE,
     "fuel": lambda n: U.evaluate(U.OMEGA, [U.OMEGA], n),
     "program code": U.decode,
+    "evaluated program code": lambda n: U.evaluate(n, [0], 8),
+    "program argument": lambda n: U.evaluate(10, [n], 8),
     "Gödel number": F.formula_of,
     "program argument reference": lambda n: U.encode(U.Var(n)),
     "program constant": lambda n: U.encode(U.Succ(U.Const(n))),

@@ -615,6 +615,110 @@ def test_bounded_halting_matrix_cycles_through_more_programs_than_the_memo():
     assert U.steps.cache_info().misses <= n
 
 
+def _reference_halts(body, i: int, fuel: int) -> int:
+    return 1 if isinstance(reference(body, [i], fuel), Value) else 0
+
+
+def test_bounded_halting_matrix_matches_the_reference_per_cell():
+    # a column whose program never reads %1 is run once; every cell must
+    # still be what the reference gives for that cell alone
+    sizes = (1, 2, 7, 16, 50, 120)
+    bodies = [U.PROGRAMS.denumber(j) for j in range(max(sizes))]
+    for fuel in (0, 1, 2, 3, 5, 8, 13, 32, 48, 64):
+        want = [[_reference_halts(body, i, fuel) for body in bodies] for i in range(len(bodies))]
+        for n in sizes:
+            got = U.bounded_halting_matrix(n, fuel).rel
+            assert got == tuple(tuple(row[:n]) for row in want[:n]), (n, fuel)
+
+
+# four programs that read their argument, and two that do not
+PROGRAMS_BY_COLUMN = (
+    10,  # %1
+    OMEGA,  # (run %1 %1)
+    encode(U.parse_program("(ifz %1 1 (run 2208 2208))")),
+    encode(U.parse_program("(ifz 0 1 %1)")),  # %1 in a branch never taken
+    1,  # the constant 0
+    encode(Succ(Const(10**30))),
+)
+
+
+def test_columns_that_read_their_argument_run_per_cell(monkeypatch):
+    # column j of the table is the program PROGRAMS_BY_COLUMN[j % 6]
+    n, fuel = 16, 32
+    calls = [0] * n
+    real_evaluate, real_reads = U.evaluate, U.reads_argument
+
+    def code(j):
+        return PROGRAMS_BY_COLUMN[j % len(PROGRAMS_BY_COLUMN)]
+
+    def evaluate_column(j, args, fuel):
+        calls[j] += 1
+        return real_evaluate(code(j), args, fuel)
+
+    monkeypatch.setattr(U, "evaluate", evaluate_column)
+    monkeypatch.setattr(U, "reads_argument", lambda j: real_reads(code(j)))
+    rel = U.bounded_halting_matrix(n, fuel).rel
+    for j in range(n):
+        body = decode(code(j))
+        assert [row[j] for row in rel] == [_reference_halts(body, i, fuel) for i in range(n)]
+        assert calls[j] == (n if real_reads(code(j)) else 1)
+    assert [real_reads(p) for p in PROGRAMS_BY_COLUMN] == [True] * 4 + [False] * 2
+    # the per-row answers that a run on input 0 alone would lose
+    assert [row[1] for row in rel] != [rel[0][1]] * n
+    assert [row[2] for row in rel] == [1] + [0] * (n - 1)
+
+
+def _tree_reads_argument(body) -> bool:
+    nodes = [body]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Var) and node.index == 1:
+            return True
+        nodes += children(node)
+    return False
+
+
+def test_reads_argument_agrees_with_a_tree_walk():
+    rng = random.Random(0xA59)
+    codes = [encode(random_tree(rng, 5)) for _ in range(300)]
+    codes += [rng.randrange(10 ** rng.randint(1, 40)) for _ in range(300)]
+    codes += [rng.randrange(10**30, 10**60) for _ in range(100)]
+    found = [U.reads_argument(p) for p in codes]
+    assert found == [_tree_reads_argument(decode(p)) for p in codes]
+    # both answers occur, among the big codes too
+    assert {True, False} <= set(found) and {True, False} <= set(found[-100:])
+
+
+@pytest.mark.parametrize("fuel", [-1, 1.5])
+def test_bounded_halting_matrix_names_a_bad_fuel(fuel):
+    # every column still calls the interpreter, argument-free ones included
+    message = f"fuel must be a natural number, got {re.escape(repr(fuel))}$"
+    with pytest.raises(InputError, match=message):
+        U.bounded_halting_matrix(3, fuel)
+
+
+@pytest.mark.parametrize(
+    "code, args, what, bad",
+    [
+        (-1, [0], "program code", -1),
+        (1.5, [0], "program code", 1.5),
+        (10, [-3], "program argument", -3),
+        (10, [1.5], "program argument", 1.5),
+        (10, [True], "program argument", True),
+        (10, [0, -3], "program argument", -3),
+        (encode(U.parse_program("(fst %1)")), [-3], "program argument", -3),
+    ],
+    ids=["code-negative", "code-float", "arg-negative", "arg-float", "arg-bool",
+         "second-arg-negative", "fst-of-negative-arg"],
+)
+def test_evaluate_rejects_a_code_or_argument_that_is_no_natural(code, args, what, bad):
+    # -1 raised ValueError from isqrt and 1.5 TypeError from indexing a row;
+    # %1 returned -3, 1.5 and True as values, and (fst %1) took isqrt(-3)
+    message = f"{what} must be a natural number, got {re.escape(repr(bad))}$"
+    with pytest.raises(InputError, match=message):
+        evaluate(code, args, 10)
+
+
 def test_program_notation_roundtrip():
     rng = random.Random(3)
     for _ in range(100):
