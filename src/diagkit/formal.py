@@ -27,15 +27,13 @@ natural number decodes to a formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from . import syntax
 from .errors import InputError, natural
 
-Term = Union["Var", "Num", "Diag", "Neg"]
-Formula = Union[
-    "Pred", "Less", "Not", "And", "Or", "Imp", "Iff", "ForAll", "Exists", "Unquote"
-]
+Term = Any  # a node of TERMS
+Formula = Any  # a node of FORMULAS
 
 
 # fixed per session: no dynamic interning, numbers are reproducible
@@ -57,30 +55,22 @@ def var_name(code: int) -> str:
 
 
 def var_code(name: str) -> Optional[int]:
+    """The code `var_name` spells as `name`: one spelling per variable, so x1 is no y."""
     if name in VAR_NAMES:
         return VAR_NAMES.index(name)
-    if name.startswith("x"):
-        return syntax.NAT.code(name[1:])
-    return None
-
-
-def _unknown_term(text: str, pos: int) -> str:
-    return f"unknown symbol {text!r} at offset {pos} (expected a term)"
+    code = syntax.NAT.code(name[1:]) if name.startswith("x") else None
+    return code if code is not None and var_name(code) == name else None
 
 
 _VAR = syntax.Scalar(var_name, var_code)
-TERMS = syntax.Sort("term", atom_error=_unknown_term, head_error=_unknown_term)
+TERMS = syntax.Sort("term")
 Var, Num, Diag, Neg = TERMS.declare(
     ("Var", None, {"code": _VAR}),
     ("Num", None, {"value": syntax.NAT}),
     ("Diag", "diag", {"arg": TERMS}),
     ("Neg", "neg", {"arg": TERMS}),
 )
-FORMULAS = syntax.Sort(
-    "formula",
-    atom_error=lambda text, pos: f"expected a formula at offset {pos}, found atom {text!r}",
-    head_error=lambda word, pos: f"unknown symbol {word!r} at offset {pos}",
-)
+FORMULAS = syntax.Sort("formula")
 Pred, Less, Not, And, Or, Imp, Iff, ForAll, Exists, Unquote = FORMULAS.declare(
     ("Pred", SYMBOLS, {"symbol": syntax.NAT, "args": syntax.Many(TERMS)}),
     ("Less", "<", {"left": TERMS, "right": TERMS}),

@@ -1,12 +1,13 @@
 """One node layer for programs, terms and formulas.
 
-A notation is a `Sort`: a table with one row per constructor, giving its
-name, the head word it prints with and each field's name and kind. The row
-makes the constructor's frozen dataclass, which holds the row. A row's
-position is its tag and the number of rows is the sort's radix. Numbering,
-printing and reading are derived from the rows, and so are `rewrite` and
-`children`, a structural map and a fold whose callers give only their special
-cases. Every walker recurses one host frame per tree level.
+A notation is a `Sort`: a name and a table with one row per constructor,
+giving its name, the head word it prints with and each field's name and
+kind. The row makes the constructor's frozen dataclass, which holds the row.
+A row's position is its tag and the number of rows is the sort's radix.
+Numbering, printing and reading are derived from the rows, and so are
+`rewrite` and `children`, a structural map and a fold whose callers give
+only their special cases; the reader's messages come from the rows and the
+name. Every walker recurses one host frame per tree level.
 
 A node's number is radix * payload + tag. The payload is the right-nested
 Cantor pairing of the field numbers, pair(a, pair(b, c)): a scalar field is
@@ -115,28 +116,22 @@ def _kind(node: Any, sort: Optional[Sort] = None) -> type:
     # node classes are final (see `Sort.declare`), so an inherited row is its own
     own = getattr(node.__class__, "_sort", None)
     if own is None or (sort is not None and own is not sort):
-        raise TypeError(f"not a {sort.name if sort else 'node'}: {node!r}")
+        raise TypeError(f"{node!r} is no {sort.name if sort else 'node'}")
     return node.__class__
 
 
-# the message for a bad atom or head word, given its text and offset
-Message = Callable[[str, int], str]
-
-
 class Sort:
-    """A notation: its rows, and what its reader says of a bad atom or head word."""
+    """A notation: its name and its rows; every reader message is built from them."""
 
-    def __init__(self, name: str, atom_error: Message, head_error: Message) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.atom_error = atom_error
-        self.head_error = head_error
         self.radix = 0
         # (class, fields or None for a leaf) by tag: plain tuples keep
         # `denumber` and `split` as fast as hand-written decoders, and the
         # interpreter reads every program it runs through `split`
         self.rows: list[tuple[type, Optional[tuple]]] = []
-        # head word -> (class, values it fills, fields left, arity, arity error text)
-        self.heads: dict[str, tuple[type, tuple, tuple, int, str]] = {}
+        # head word -> (class, values it fills, fields left, arity)
+        self.heads: dict[str, tuple[type, tuple, tuple, int]] = {}
 
     def declare(self, *rows: tuple[str, Any, Mapping[str, Any]]) -> tuple[type, ...]:
         """Add rows (name, head, {field: kind}) and return their node classes.
@@ -170,14 +165,11 @@ class Sort:
             cls.__module__ = module
             classes.append(cls)
             self.rows.append((cls, None if head is None else kinds))
-            n = len(fields)
             if table:
                 for word, (code, arity) in head.items():
-                    self.heads[word] = (cls, (code,), kinds[1:], arity, f"{arity} argument(s)")
-            elif head is not None and any(f.__class__ is Scalar for f in kinds):
-                self.heads[head] = (cls, (), kinds, n, "a variable and a body")
+                    self.heads[word] = (cls, (code,), kinds[1:], arity)
             elif head is not None:
-                self.heads[head] = (cls, (), kinds, n, f"{n} argument" + "s" * (n != 1))
+                self.heads[head] = (cls, (), kinds, len(kinds))
         self.radix = len(self.rows)
         return tuple(classes)
 
@@ -252,15 +244,16 @@ class Sort:
                     value = cls._slots[0][0].code(node.text)
                     if value is not None:
                         return cls(value)
-            raise InputError(self.atom_error(node.text, node.pos))
+            raise InputError(f"{node.text!r} at offset {node.pos} is no {self.name}")
         if not node.items or not isinstance(node.items[0], sexpr.Atom):
             raise InputError(f"expected an operator at offset {node.pos}")
         word, args = node.items[0].text, node.items[1:]
         if word not in self.heads:
-            raise InputError(self.head_error(word, node.pos))
-        cls, values, fields, arity, usage = self.heads[word]
+            raise InputError(f"unknown {self.name} operator {word!r} at offset {node.pos}")
+        cls, values, fields, arity = self.heads[word]
         if len(args) != arity:
-            raise InputError(f"{word} takes {usage} (offset {node.pos})")
+            plural = "s" * (arity != 1)
+            raise InputError(f"{word} takes {arity} argument{plural} (offset {node.pos})")
         values = list(values)
         args = iter(args)
         for field in fields:
@@ -271,11 +264,11 @@ class Sort:
             if field.__class__ is Sort:
                 values.append(field.read(arg))
                 continue
-            if not isinstance(arg, sexpr.Atom):
-                raise InputError(f"{word} takes {usage} (offset {node.pos})")
-            code = field.code(arg.text)
+            # a scalar field read from a head's arguments is a bound variable
+            code = field.code(arg.text) if isinstance(arg, sexpr.Atom) else None
             if code is None:
-                raise InputError(f"unknown variable {arg.text!r} at offset {arg.pos}")
+                token = arg.text if isinstance(arg, sexpr.Atom) else "("
+                raise InputError(f"{token!r} at offset {arg.pos} is no variable")
             values.append(code)
         return cls(*values)
 

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from . import syntax
 from .errors import InputError, natural
 from .instances import DescribesMatrix
 from .syntax import pair, unpair
 
-Expr = Union[
-    "Var", "Const", "Succ", "Pred", "IfZero", "Pair", "Fst", "Snd", "Run", "Smn"
-]
+Expr = Any  # a node of PROGRAMS
 
 
 @dataclass(frozen=True)
@@ -51,21 +49,12 @@ _DIVERGED, _STUCK = Diverged(), Stuck()
 OMEGA = 2208
 
 
-def _bad_atom(text: str, pos: int) -> str:
-    what = "bad argument reference" if text.startswith("%") else "unknown atom"
-    return f"{what} {text!r} at offset {pos}"
-
-
 # argument references are spelled %i
 _ARG = syntax.Scalar(
     lambda index: f"%{index}",
     lambda text: syntax.NAT.code(text[1:]) if text[:1] == "%" else None,
 )
-PROGRAMS = syntax.Sort(
-    "expression",
-    atom_error=_bad_atom,
-    head_error=lambda word, pos: f"unknown operator {word!r} at offset {pos}",
-)
+PROGRAMS = syntax.Sort("expression")
 Var, Const, Succ, Pred, IfZero, Pair, Fst, Snd, Run, Smn = PROGRAMS.declare(
     # 1-based argument reference; index 0 decodes from code 0 and is Stuck
     ("Var", None, {"index": _ARG}),

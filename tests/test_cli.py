@@ -461,6 +461,16 @@ def test_formal_unknown_symbol_exits_2(capsys):
     assert "Bogus" in err
 
 
+@pytest.mark.parametrize("name", ["x1", "x08"])
+def test_formal_second_spelling_of_a_variable_exits_2(name, capsys):
+    # x1 used to read as y: the binder captured the y written as free, and curry exited 0
+    code = run_command(["formal", "curry", "--a", f"(forall {name} (P y))"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {name!r} at offset 8 is no variable\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -489,6 +499,27 @@ def test_negative_fuel_refutation_exits_2_without_hanging():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "fuel" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["demo", "russell"], ["formal", "rosser", "--print-number"]], ids=["short", "long"]
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # as in `diagkit demo russell | head -2`: the reader is gone before the report is written
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diagkit.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -387,3 +387,14 @@ def test_parse_rejects_unknown_symbols_with_position():
         F.parse_formula("(Prov x)")  # arity violation
     with pytest.raises(InputError):
         F.parse_formula("(and (P x)")  # unbalanced
+
+
+def test_each_variable_has_one_spelling():
+    # x1 used to read as y, so (forall x1 (P y)) bound the y written as free
+    for name in ("x0", "x1", "x7", "x08", "x007", "x012"):
+        assert F.var_code(name) is None
+    for code in range(40):
+        assert F.var_code(F.var_name(code)) == code
+    with pytest.raises(InputError, match="'x1' at offset 8 is no variable"):
+        F.parse_formula("(forall x1 (P y))")
+    assert F.free_vars(F.parse_formula("(forall x8 (P y))")) == {Y}

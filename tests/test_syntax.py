@@ -8,6 +8,7 @@ import pytest
 from diagkit import formal as F
 from diagkit import syntax
 from diagkit import universe as U
+from diagkit.errors import InputError
 
 SORTS = [(U, U.PROGRAMS), (F, F.TERMS), (F, F.FORMULAS)]
 
@@ -91,11 +92,7 @@ def test_only_a_node_class_of_the_sort_is_a_node(call):
 
 
 def test_declare_makes_a_sort_from_rows_alone():
-    trees = syntax.Sort(
-        "tree",
-        atom_error=lambda text, pos: f"bad leaf {text!r}",
-        head_error=lambda word, pos: f"bad head {word!r}",
-    )
+    trees = syntax.Sort("tree")
     Leaf, Two = trees.declare(
         ("Leaf", None, {"n": syntax.NAT}),
         ("Two", "two", {"left": trees, "right": trees}),
@@ -108,6 +105,59 @@ def test_declare_makes_a_sort_from_rows_alone():
     for node in (a, b):
         assert trees.denumber(trees.number(node)) == node
         assert trees.parse(trees.format(node)) == node
+    # the reader's messages come from the sort's name and rows
+    with pytest.raises(InputError) as err:
+        trees.parse("(two 1 %1)")
+    assert str(err.value) == "'%1' at offset 7 is no tree"
+
+
+@pytest.mark.parametrize(
+    "sort,text,message",
+    [
+        # bad atom
+        (U.PROGRAMS, "%x", "'%x' at offset 0 is no expression"),
+        (U.PROGRAMS, "(succ foo)", "'foo' at offset 6 is no expression"),
+        (F.TERMS, "(diag %1)", "'%1' at offset 6 is no term"),
+        (F.FORMULAS, "(not x)", "'x' at offset 5 is no formula"),
+        # unknown head
+        (U.PROGRAMS, "(Bogus 1)", "unknown expression operator 'Bogus' at offset 0"),
+        (F.TERMS, "(quote 1)", "unknown term operator 'quote' at offset 0"),
+        (F.FORMULAS, "(Bogus)", "unknown formula operator 'Bogus' at offset 0"),
+        # wrong arity: the plural is read off the arity
+        (U.PROGRAMS, "(succ 1 2)", "succ takes 1 argument (offset 0)"),
+        (U.PROGRAMS, "(pair 1)", "pair takes 2 arguments (offset 0)"),
+        (F.TERMS, "(neg)", "neg takes 1 argument (offset 0)"),
+        (F.FORMULAS, "(T 1 2)", "T takes 1 argument (offset 0)"),
+        (F.FORMULAS, "(Prov 1)", "Prov takes 2 arguments (offset 0)"),
+        (F.FORMULAS, "(forall x)", "forall takes 2 arguments (offset 0)"),
+        # a list where an operator belongs
+        (U.PROGRAMS, "((succ) 1)", "expected an operator at offset 0"),
+        (F.TERMS, "()", "expected an operator at offset 0"),
+        (F.FORMULAS, "(not ())", "expected an operator at offset 5"),
+        # a scalar field given a list or an unknown name
+        (F.FORMULAS, "(forall (P x) (P x))", "'(' at offset 8 is no variable"),
+        (F.FORMULAS, "(exists q (P q))", "'q' at offset 8 is no variable"),
+        (F.FORMULAS, "(forall x1 (P y))", "'x1' at offset 8 is no variable"),
+        # sexpr.parse's own messages
+        (U.PROGRAMS, "  ", "empty expression"),
+        (F.TERMS, "(diag (neg 1)", "unclosed '(' at offset 0"),
+        (F.FORMULAS, "(P x))", "unexpected ')' at offset 5"),
+    ],
+    ids=lambda value: value.name if isinstance(value, syntax.Sort) else None,
+)
+def test_reader_messages(sort, text, message):
+    with pytest.raises(InputError) as err:
+        sort.parse(text)
+    assert str(err.value) == message
+
+
+def test_a_non_node_is_named_in_the_sorts_words():
+    with pytest.raises(TypeError) as err:
+        U.PROGRAMS.number(F.Num(1))
+    assert str(err.value) == "Num(value=1) is no expression"
+    with pytest.raises(TypeError) as err:
+        syntax.children(3)
+    assert str(err.value) == "3 is no node"
 
 
 @pytest.mark.parametrize(
