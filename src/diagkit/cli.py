@@ -8,7 +8,9 @@ is its `LemmaCertificate.verified`, read off the evidence its constructor
 computed from E alone. Exit status is 0 only when the certificate verifies;
 malformed input, negative fuel and input that nests too deeply exit 2; a
 failed verification or an inapplicable construction exits 1. Divergence
-evidence in any report names the fuel bound it was observed at.
+evidence names the fuel bound it was observed at, but for two fields that
+name the command's fuel: refute-halt's `g_run` ran at fuel + 7 and rice's
+`switched_to` at fuel + 5 (`universe`'s wrapper and switch allowances).
 """
 
 from __future__ import annotations
@@ -135,11 +137,8 @@ def load_matrix_file(
         if "beta" not in data or "beta_bar" not in data:
             raise InputError("--section requires fields 'beta' and 'beta_bar'")
         beta, beta_bar = _require(data, "beta", list), _require(data, "beta_bar", list)
+        # whether it fits the matrix is checked where it is composed, in `core`
         section = _checked("fields 'beta'/'beta_bar'", core.Section, beta, beta_bar)
-        if len(section.beta) != rows.size:
-            raise InputError("field 'beta': must have one entry per row")
-        if len(section.beta_bar) != cols.size:
-            raise InputError("field 'beta_bar': must have one entry per column")
 
     inputs = {"source": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return f, alpha, section, inputs

@@ -216,17 +216,17 @@ def cantor_witness(
     """Construct the section map (by default the diagonal) and certify it is no column.
 
     The witness row for column s is the proof's canonical one, t = beta_bar(s),
-    which is s itself in the diagonal form. Requires alpha to be
-    fixed-point-free; otherwise the construction proves nothing.
+    which is s itself in the diagonal form. It checks that sec fits f, then
+    that alpha is fixed-point-free, without which the construction proves nothing.
     """
+    if sec is None:
+        sec = _identity_section(f)
+    report = NonRepresentabilityReport(compose_with_section(f, alpha, sec), sec.beta_bar)
     if fixed_points(alpha):
         raise NotApplicableError(
             "endomap has a fixed point; the diagonal construction needs a "
             "fixed-point-free map"
         )
-    if sec is None:
-        sec = _identity_section(f)
-    report = NonRepresentabilityReport(compose_with_section(f, alpha, sec), sec.beta_bar)
     # guaranteed by fixed-point-freeness; a failure here is a bug, not bad input
     assert verify_nonrepresentability(f, report)
     return report

@@ -126,10 +126,10 @@ class Sort:
     def __init__(self, name: str) -> None:
         self.name = name
         self.radix = 0
-        # (class, fields or None for a leaf) by tag: plain tuples keep
-        # `denumber` and `split` as fast as hand-written decoders, and the
-        # interpreter reads every program it runs through `split`
-        self.rows: list[tuple[type, Optional[tuple]]] = []
+        # (class, field kinds) by tag, a leaf's one field included: plain
+        # tuples keep `denumber` and `split` as fast as hand-written decoders,
+        # and the interpreter compiles every program it runs through `split`
+        self.rows: list[tuple[type, tuple]] = []
         # head word -> (class, values it fills, fields left, arity)
         self.heads: dict[str, tuple[type, tuple, tuple, int]] = {}
 
@@ -138,12 +138,14 @@ class Sort:
 
         A row's position is its tag. The head is a word; None for a leaf,
         which prints as its one scalar field; or a symbol table
-        {word: (code, arity)} whose code fills the first field. Each class is
+        {word: (code, arity)} whose code fills the first field and whose other
+        field is one `Many`: a word reads and prints only at its arity, and
+        any other code or count as `sym<code>`. Each class is
         a frozen dataclass with the row's fields in order, `Many` fields
         stored as tuples, and the caller's module as its `__module__`, as
         `collections.namedtuple` does. The class holds its row as `_sort`,
-        `_tag`, `_head`, `_slots` ((kind, name) per field) and `_symbols`, and
-        is final: subclassing it raises `TypeError`.
+        `_tag`, `_head`, `_slots` ((kind, name) per field) and `_symbols`
+        ((code, arity) -> word), and is final: subclassing it raises `TypeError`.
         """
         module = sys._getframe(1).f_globals.get("__name__", "__main__")
         classes = []
@@ -155,7 +157,7 @@ class Sort:
                 "_tag": len(self.rows),
                 "_head": head,
                 "_slots": tuple((field, f) for f, field in fields.items()),
-                "_symbols": {code: word for word, (code, _) in head.items()} if table else None,
+                "_symbols": {code: word for word, code in head.items()} if table else None,
                 "__init_subclass__": _final,
             }
             many = [f for f, field in fields.items() if field.__class__ is Many]
@@ -164,7 +166,7 @@ class Sort:
             cls = make_dataclass(name, list(fields), namespace=namespace, frozen=True)
             cls.__module__ = module
             classes.append(cls)
-            self.rows.append((cls, None if head is None else kinds))
+            self.rows.append((cls, kinds))
             if table:
                 for word, (code, arity) in head.items():
                     self.heads[word] = (cls, (code,), kinds[1:], arity)
@@ -186,7 +188,7 @@ class Sort:
         """Node n's class and its field numbers: one level of `denumber`."""
         cls, fields = self.rows[n % self.radix]
         payload = n // self.radix
-        if fields is None or len(fields) == 1:
+        if len(fields) == 1:
             return cls, (payload,)
         numbers = []
         for _ in fields[:-1]:
@@ -199,8 +201,6 @@ class Sort:
         """Total inverse of `number`: every natural number is a node of the sort."""
         cls, fields = self.rows[n % self.radix]
         payload = n // self.radix
-        if fields is None:
-            return cls(payload)
         if len(fields) == 1:
             return cls(fields[0].denumber(payload))
         values = []
@@ -216,11 +216,8 @@ class Sort:
         slots = cls._slots
         if cls._head is None:
             return slots[0][0].name(getattr(node, slots[0][1]))
-        if cls._symbols is None:
-            words = [cls._head]
-        else:
-            code = getattr(node, slots[0][1])
-            words = [cls._symbols.get(code, f"sym{code}")]
+        words = [cls._head]
+        if cls._symbols is not None:
             slots = slots[1:]
         for field, name in slots:
             value = getattr(node, name)
@@ -230,7 +227,21 @@ class Sort:
                 words.append(field.name(value))
             else:
                 words.append(field.format(value))
+        if cls._symbols is not None:
+            code = getattr(node, cls._slots[0][1])
+            words[0] = cls._symbols.get((code, len(words) - 1)) or f"sym{code}"
         return "(" + " ".join(words) + ")"
+
+    def _sym(self, word: str, count: int, pos: int) -> tuple[type, tuple, tuple, int]:
+        """The `heads` entry of `sym<k>` at `count` arguments, as `format` spells it."""
+        code = NAT.code(word[3:]) if word[:3] == "sym" else None
+        for cls, kinds in self.rows:
+            if cls._symbols is not None and code is not None and str(code) == word[3:]:
+                if (code, count) in cls._symbols:
+                    taken = cls._symbols[code, count]
+                    raise InputError(f"{word} at arity {count} is spelled {taken} (offset {pos})")
+                return cls, (code,), kinds[1:], count
+        raise InputError(f"unknown {self.name} operator {word!r} at offset {pos}")
 
     def parse(self, text: str) -> Any:
         """Read the prefix notation of `format`; errors name an offset."""
@@ -240,17 +251,15 @@ class Sort:
         """Build a node of this sort from an s-expression; errors name an offset."""
         if isinstance(node, sexpr.Atom):
             for cls, fields in self.rows:
-                if fields is None:
-                    value = cls._slots[0][0].code(node.text)
+                if cls._head is None:
+                    value = fields[0].code(node.text)
                     if value is not None:
                         return cls(value)
             raise InputError(f"{node.text!r} at offset {node.pos} is no {self.name}")
         if not node.items or not isinstance(node.items[0], sexpr.Atom):
             raise InputError(f"expected an operator at offset {node.pos}")
         word, args = node.items[0].text, node.items[1:]
-        if word not in self.heads:
-            raise InputError(f"unknown {self.name} operator {word!r} at offset {node.pos}")
-        cls, values, fields, arity = self.heads[word]
+        cls, values, fields, arity = self.heads.get(word) or self._sym(word, len(args), node.pos)
         if len(args) != arity:
             plural = "s" * (arity != 1)
             raise InputError(f"{word} takes {arity} argument{plural} (offset {node.pos})")

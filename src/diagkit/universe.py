@@ -120,7 +120,7 @@ def steps(p: int) -> tuple[tuple[type, int, object], ...]:
 
 
 def reads_argument(p: int) -> bool:
-    """Whether `Var 1`, the one reader of a program's input, occurs in p's code.
+    """Whether a `Var 1` step, the one reader of a program's input, occurs in p's code.
 
     Both `ifz` branches count, taken or not. Without it p computes the same
     values and spends the same fuel on every input, since a `run` step gives
@@ -128,12 +128,12 @@ def reads_argument(p: int) -> bool:
     """
     todo = [p]
     while todo:
-        cls, fields = PROGRAMS.split(todo.pop())
-        if cls is Var:
-            if fields[0] == 1:
-                return True
-        elif cls is not Const:  # a constant's field is a numeral
-            todo.extend(fields)
+        for cls, _, a in steps(todo.pop()):
+            if cls is Var:
+                if a == 1:
+                    return True
+            elif cls is IfZero:
+                todo.extend(a[:2])
     return False
 
 
@@ -299,10 +299,10 @@ class RefutationWitness:
     diagonal program g (index g_index) asks the candidate about g itself and
     then does the opposite: halts with 1 when told "diverges", loops when
     told "halts". candidate_answer records the candidate on (g, g) at the
-    given fuel; g_run records g on g with the small constant wrapper
-    allowance added, so a candidate answer computed within the budget always
-    propagates through g. Every candidate yields a witness; divergence
-    evidence is explicitly bounded by the fuel recorded in it.
+    given fuel; g_run records g on g at fuel + 7 (`_WRAPPER_ALLOWANCE`), so
+    a candidate answer computed within the budget always propagates through
+    g. Every candidate yields a witness; its divergence evidence is bounded
+    by the fuel it ran at, which for g_run is fuel + 7, not the fuel recorded.
     """
 
     candidate: int
@@ -365,8 +365,9 @@ class RiceReport:
     A, with phi_a in A and phi_b not in A. The probe n0 behaves like phi_b
     whenever the decider claims n0 is in A and like phi_a otherwise, so any
     total decider contradicts itself on n0. n0, switched_to and samples are
-    the recursion check of the switch body, sampled at `fuel`;
-    decider_answer is the decider's own answer on n0.
+    the recursion check of the switch body: switched_to, the body's run on
+    n0, at fuel + 5 (`_SWITCH_ALLOWANCE`), and the samples at `fuel`;
+    decider_answer is the decider's own answer on n0, at `fuel`.
     """
 
     decider: int
@@ -434,7 +435,7 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     def halts(j: int, i: int) -> int:
         return 1 if isinstance(evaluate(j, [i], fuel), Value) else 0
 
-    # column by column, so that each program's steps stay in the memo
+    # column by column: `reads_argument` compiles each code into the memo its runs read
     cols = [
         [halts(j, i) for i in range(n)] if reads_argument(j) else [halts(j, 0)] * n
         for j in range(n)

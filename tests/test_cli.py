@@ -334,6 +334,12 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
             lambda d: d.update(beta_bar=[0, 1, 2, 9]),
             "fields 'beta'/'beta_bar': beta_bar[3] lies outside the row carrier",
         ),
+        # a section that is sound on its own but does not fit the 4 x 4 matrix
+        (lambda d: d.update(beta=[0, 1, 2], beta_bar=[0, 1, 2]), "beta must be defined on every row"),
+        (
+            lambda d: d.update(beta=[0, 1, 2, 0], beta_bar=[0, 1, 2]),
+            "beta_bar must be defined on every column",
+        ),
     ],
     ids=[
         "alpha-missing",
@@ -347,6 +353,8 @@ def test_diagonal_malformed_inputs_exit_2(tmp_path, capsys, mutate, field):
         "f-row-length",
         "f-not-rows",
         "beta-bar-range",
+        "beta-short",
+        "beta-bar-short",
     ],
 )
 def test_matrix_file_errors_name_their_field_once(tmp_path, capsys, mutate, message):
@@ -355,6 +363,18 @@ def test_matrix_file_errors_name_their_field_once(tmp_path, capsys, mutate, mess
     code = run_command(["diagonal", "--input", write_matrix(tmp_path, data), "--section"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_section_that_does_not_fit_exits_2_before_a_fixed_point_exits_1(tmp_path, capsys):
+    # the identity twist has fixed points, which alone would exit 1
+    data = dict(GRELLING_FILE, alpha=[0, 1], beta=[0, 1, 2], beta_bar=[0, 1, 2])
+    code = run_command(["diagonal", "--input", write_matrix(tmp_path, data), "--section"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: beta must be defined on every row\n"
+    data.update(beta=[0, 1, 2, 3], beta_bar=[0, 1, 2, 3])
+    code = run_command(["diagonal", "--input", write_matrix(tmp_path, data), "--section"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("not applicable: endomap has a fixed point")
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True])

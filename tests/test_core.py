@@ -187,6 +187,14 @@ def test_cantor_witness_rejects_fixed_points():
         cantor_witness(F3, ident)
 
 
+def test_cantor_witness_checks_the_fit_before_the_fixed_points():
+    ident = EndoMap(BITS, (0, 1))
+    with pytest.raises(InputError, match="^matrix must be square for the diagonal composition$"):
+        cantor_witness(SECTION_F, ident)
+    with pytest.raises(InputError, match="^beta must be defined on every row$"):
+        cantor_witness(SECTION_F, ident, Section(beta=(0, 1), beta_bar=(0, 1)))
+
+
 def test_cantor_witness_section_rows():
     report = cantor_witness(SECTION_F, SWAP, SECTION)
     assert report.witness_rows == SECTION.beta_bar

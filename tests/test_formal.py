@@ -398,3 +398,50 @@ def test_each_variable_has_one_spelling():
     with pytest.raises(InputError, match="'x1' at offset 8 is no variable"):
         F.parse_formula("(forall x1 (P y))")
     assert F.free_vars(F.parse_formula("(forall x8 (P y))")) == {Y}
+
+
+def test_every_decoded_formula_reads_back():
+    # a symbol code off the table, or a table code at another arity, prints sym<k>
+    for n in range(2000):
+        phi = formula_of(n)
+        assert F.parse_formula(F.format_formula(phi)) == phi, n
+    assert F.format_formula(formula_of(0)) == "(sym0)"
+
+
+@pytest.mark.parametrize(
+    "text,formula",
+    [
+        ("(sym7 0)", Pred(7, (Num(0),))),
+        ("(sym3)", Pred(F.SYMBOLS["P"][0], ())),
+        ("(sym2 x y)", Pred(F.SYMBOLS["T"][0], (Var(X), Var(Y)))),
+        ("(sym0 x)", Pred(PROV, (Var(X),))),
+        ("(T x)", Pred(F.SYMBOLS["T"][0], (Var(X),))),
+    ],
+)
+def test_sym_reads_at_any_arity_as_the_printer_spells_it(text, formula):
+    assert F.parse_formula(text) == formula
+    assert F.format_formula(formula) == text
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a table code at its own arity is spelled with its word
+        ("(sym2 x)", "sym2 at arity 1 is spelled T (offset 0)"),
+        ("(not (sym0 x y))", "sym0 at arity 2 is spelled Prov (offset 5)"),
+        # only the printer's decimals: no leading zero, sign or other digits
+        ("(sym02 x)", "unknown formula operator 'sym02' at offset 0"),
+        ("(sym00)", "unknown formula operator 'sym00' at offset 0"),
+        ("(sym-1 x)", "unknown formula operator 'sym-1' at offset 0"),
+        ("(sym٣ x)", "unknown formula operator 'sym٣' at offset 0"),
+        ("(sym x)", "unknown formula operator 'sym' at offset 0"),
+        ("(Sym7 x)", "unknown formula operator 'Sym7' at offset 0"),
+        # table words keep their arity check
+        ("(Prov x)", "Prov takes 2 arguments (offset 0)"),
+        ("(T)", "T takes 1 argument (offset 0)"),
+    ],
+)
+def test_sym_spellings_that_do_not_read(text, message):
+    with pytest.raises(InputError) as err:
+        F.parse_formula(text)
+    assert str(err.value) == message

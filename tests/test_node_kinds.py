@@ -75,10 +75,10 @@ FORMULAS = [
         "(R (diag x9) (neg 3))",
         True,
     ),
-    # an unregistered symbol code has a number and a name but no reader
-    (F.Pred(7, (F.Num(0),)), 470, "(sym7 0)", False),
-    # zero arguments print bare; the reader holds P to its arity of 1
-    (F.Pred(P, ()), 60, "(P)", False),
+    # a code off the symbol table prints and reads as sym<code>
+    (F.Pred(7, (F.Num(0),)), 470, "(sym7 0)", True),
+    # so does a table code at another arity: P takes 1 argument
+    (F.Pred(P, ()), 60, "(sym3)", True),
 ]
 
 

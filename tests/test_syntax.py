@@ -207,3 +207,8 @@ def test_a_numeral_that_is_a_list_does_not_print():
     # a list is no natural; the memo cannot hash it (it used to print as (T [1]))
     with pytest.raises(TypeError, match="unhashable"):
         F.format_formula(F.Pred(F.SYMBOLS["T"][0], (F.Num([1]),)))
+
+
+def test_a_sort_without_a_symbol_table_reads_no_sym():
+    with pytest.raises(InputError, match="^unknown expression operator 'sym1' at offset 0$"):
+        U.parse_program("(sym1 %1)")

@@ -452,6 +452,22 @@ def test_refute_halting_self_looping_candidate():
     assert U.verify_refutation(witness)
 
 
+@pytest.mark.parametrize("fuel", [1, 2, 8, 4096])
+def test_g_run_and_switched_to_ran_past_the_fuel_their_reports_print(fuel):
+    # the CLI prints `fuel` beside both runs; they ran with the wrapper and switch allowances
+    witness = refute_halting(encode(Const(0)), fuel)
+    g = witness.g_index
+    assert witness.g_run == evaluate(g, [g], fuel + 7)
+    report = U.rice_contradiction(encode(Const(0)), 1, OMEGA, fuel)
+    switch = encode(IfZero(Run(Const(report.decider), Var(1)), Const(1), Const(OMEGA)))
+    assert report.switched_to == evaluate(switch, [report.n0], fuel + 5)
+    if fuel == 1:
+        # at the printed fuel itself both runs diverge
+        assert witness.g_run == Value(1) and evaluate(g, [g], fuel) == Diverged()
+        assert report.switched_to == Value(1)
+        assert evaluate(switch, [report.n0], fuel) == Diverged()
+
+
 def test_rice_decider_always_member():
     a, b = 1, OMEGA  # phi_a is constant 0, phi_b loops
     report = U.rice_contradiction(encode(Const(1)), a, b, 10**4)
