@@ -1,6 +1,9 @@
-"""diagkit: diagonal arguments, certificates, and self-reference at desk scale."""
+"""diagkit: diagonal arguments, certificates, and self-reference at desk scale.
+
+Importing it loads `core` and `errors`; `formal`, `instances` and `universe` on first use."""
 
 import sys
+from importlib import import_module
 
 # Sentence numbers reach tens of thousands of digits (nested pairing squares
 # magnitudes); the interpreter's int<->str guard would reject printing them.
@@ -10,7 +13,6 @@ if hasattr(sys, "set_int_max_str_digits"):
 # decoded program trees can chain one unary node per decimal digit
 sys.setrecursionlimit(20000)
 
-from . import formal, instances, universe
 from .core import (
     Carrier,
     EndoMap,
@@ -31,6 +33,14 @@ from .core import (
 from .errors import InputError, NotApplicableError
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: a family loads when first read; the import binds it, so this runs once
+    if name in ("formal", "instances", "universe"):
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "formal",

@@ -7,9 +7,11 @@ emission. The quine checks itself on each input it lists; a sentence's flag
 is its `LemmaCertificate.verified`, read off the evidence its constructor
 computed from E alone. Exit status is 0 only when the certificate verifies;
 malformed input, negative fuel and input that nests too deeply exit 2; a
-failed verification or an inapplicable construction exits 1. Divergence
-evidence names the fuel bound it was observed at, but for two fields that
-name the command's fuel: refute-halt's `g_run` ran at fuel + 7 and rice's
+failed verification or an inapplicable construction exits 1; any other
+exception is an internal error: one `internal error: <Type>: <message>` line
+and exit 3. Each command imports only the family it runs. Divergence evidence
+names the fuel bound it was observed at, but for two fields that name the
+command's fuel: refute-halt's `g_run` ran at fuel + 7 and rice's
 `switched_to` at fuel + 5 (`universe`'s wrapper and switch allowances).
 """
 
@@ -20,12 +22,13 @@ import hashlib
 import json
 import os
 import sys
-from importlib import resources
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import core, formal, instances, syntax, universe
+from . import core
 from .errors import InputError, NotApplicableError
 
+if TYPE_CHECKING:
+    from . import formal, instances, universe
 QUINE_FUEL = 10**6
 RECURSION_FUEL = 10**5
 RECURSION_RETRY_FUEL = 10**6
@@ -35,6 +38,7 @@ NONRE_FUEL = 32
 
 
 def _outcome_json(outcome: universe.Outcome, fuel: int) -> dict:
+    from . import universe
     match outcome:
         case universe.Value(n):
             return {"kind": "value", "n": n}
@@ -74,7 +78,8 @@ def _nonrep_payload(
 
 
 def _bundled_inputs(name: str) -> dict:
-    data = resources.files("diagkit.data").joinpath(name).read_bytes()
+    from . import instances
+    data = instances.bundled(name)
     return {"source": f"bundled:{name}", "sha256": hashlib.sha256(data).hexdigest()}
 
 
@@ -158,6 +163,7 @@ def _cmd_diagonal(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 def _halting_table(n: int, fuel: int) -> tuple[instances.DescribesMatrix, list[int], dict, bool]:
     """The fuel-bounded halting table, certified through the relation instance."""
+    from . import instances, universe
     m = universe.bounded_halting_matrix(n, fuel)
     het, report = instances.relation_instance(m)
     payload, ok = _nonrep_payload(instances.describes_matrix(m), report, "diagonal")
@@ -165,6 +171,7 @@ def _halting_table(n: int, fuel: int) -> tuple[instances.DescribesMatrix, list[i
 
 
 def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import instances
     which = args.table
     if which == "nonre":
         # the fuel-bounded halting table fed back through the relation instance
@@ -203,6 +210,7 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_quine(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import universe
     q = universe.quine()
     checks = {x: universe.evaluate(q, [x], QUINE_FUEL) == universe.Value(q) for x in (0, 1, 2)}
     payload = {
@@ -216,6 +224,7 @@ def _cmd_quine(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_recursion(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import universe
     h = universe.parse_program_or_code(args.transformer)
     n0, transformed, samples = universe.recursion_check(
         h, RECURSION_FUEL, (RECURSION_FUEL, RECURSION_RETRY_FUEL), RECURSION_SAMPLE_INPUTS
@@ -242,6 +251,7 @@ def _cmd_recursion(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_refute_halt(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import universe
     candidate = universe.parse_program_or_code(args.candidate)
     witness = universe.refute_halting(candidate, args.fuel)
     payload = {
@@ -258,6 +268,7 @@ def _cmd_refute_halt(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_rice(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import universe
     decider = universe.parse_program_or_code(args.decider)
     a = universe.parse_program_or_code(args.a)
     b = universe.parse_program_or_code(args.b)
@@ -306,6 +317,7 @@ def _cmd_halt_matrix(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 def _sentence_report(
     args: argparse.Namespace, cert: formal.LemmaCertificate, echo: dict, **extras: Any
 ) -> tuple[dict, dict, bool]:
+    from . import formal, syntax
     payload = {
         "kind": "diagonal-sentence",
         "name": args.sentence,
@@ -328,14 +340,17 @@ def _sentence_report(
 
 
 def _cmd_named_sentence(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import formal
     return _sentence_report(args, getattr(formal, f"{args.sentence}_sentence")(), {})
 
 
 def _cmd_parikh(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import formal
     return _sentence_report(args, formal.parikh_sentence(args.n), {"n": args.n}, bound=args.n)
 
 
 def _cmd_curry(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from . import formal
     consequent = formal.parse_formula(args.a)
     cert = formal.curry_sentence(consequent)
     a = formal.format_formula(consequent)
@@ -426,6 +441,9 @@ def run_command(argv: list[str]) -> int:
         # the readers, codings and printers recurse once per nesting level
         print("error: input nests too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of diagkit or its install, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     report = {
         "command": " ".join(argv),

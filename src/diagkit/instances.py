@@ -167,10 +167,15 @@ def richard_instance(
     return report.g.values, report
 
 
+def bundled(name: str) -> bytes:
+    """The bytes of a file under `diagkit/data`, also from a zipped install."""
+    # `data` is no package; one joinpath argument, since 3.10 takes only one
+    return resources.files("diagkit").joinpath("data/" + name).read_bytes()
+
+
 def _demo(table: type, name: str, *keys: str):
     """A table built from the named keys of a bundled data file, and the file name."""
-    text = resources.files("diagkit.data").joinpath(name).read_text(encoding="utf-8")
-    raw = json.loads(text)
+    raw = json.loads(bundled(name).decode("utf-8"))
     return table(*[raw[key] for key in keys]), name
 
 

@@ -5,10 +5,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import zipfile
 
 import pytest
 
-from diagkit import core, formal, instances, universe
+from diagkit import cli, core, formal, instances, universe
 from diagkit.cli import run_command
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -540,6 +541,41 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+def test_bundled_demos_run_from_a_zipped_package(tmp_path):
+    # from a zip, `resources.files` cannot open `data`, which has no __init__.py:
+    # without a directory entry it is no module, and with one its reader needs
+    # a real directory
+    src = pathlib.Path(__file__).parent.parent / "src"
+    archive = tmp_path / "diagkit.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted((src / "diagkit").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(src).as_posix())
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    for name, argv in GOLDEN_COMMANDS[:5]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagkit.cli", *argv],
+            capture_output=True,
+            cwd=tmp_path,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), name
+        assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_an_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_quine", broken)
+    code = run_command(["universe", "quine"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize(
