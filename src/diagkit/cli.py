@@ -123,7 +123,7 @@ def load_matrix_file(
         raise InputError(f"cannot read input file: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a number past the digit limit or bytes not UTF-8
         raise InputError(f"input file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
@@ -166,7 +166,7 @@ def _halting_table(n: int, fuel: int) -> tuple[instances.DescribesMatrix, list[i
     from . import instances, universe
     m = universe.bounded_halting_matrix(n, fuel)
     het, report = instances.relation_instance(m)
-    payload, ok = _nonrep_payload(instances.describes_matrix(m), report, "diagonal")
+    payload, ok = _nonrep_payload(m.matrix, report, "diagonal")
     return m, [i for i, bit in enumerate(het) if bit == 1], payload, ok
 
 
@@ -182,29 +182,25 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, dict, bool]:
             f"program m halts within {NONRE_FUEL} steps"
         )
         return _args_inputs({"table": "nonre", "n": NONRE_SIZE, "fuel": NONRE_FUEL}), payload, ok
-    # each bundled table: its matrix, its certificate and the keys that follow the common ones
+    # each bundled table: its certificate and the keys that follow the common ones
     if which == "powerset":
-        fam, src = instances.demo_subset_family()
-        g, report = instances.powerset_instance(fam)
-        f = instances.membership_matrix(fam)
+        table, src = instances.demo_subset_family()
+        g, report = instances.powerset_instance(table)
         extras = {"missing_set": [i for i, bit in enumerate(g) if bit == 1]}
     elif which in ("russell", "grelling"):
-        m, src = instances.demo_russell() if which == "russell" else instances.demo_grelling()
-        het, report = instances.relation_instance(m)
-        f = instances.describes_matrix(m)
+        table, src = instances.demo_russell() if which == "russell" else instances.demo_grelling()
+        het, report = instances.relation_instance(table)
         key = "non_self_members" if which == "russell" else "heterological"
-        extras = {key: [m.labels[i] for i, bit in enumerate(het) if bit == 1]}
+        extras = {key: [table.labels[i] for i, bit in enumerate(het) if bit == 1]}
     elif which == "strong-liar":
-        m, src = instances.demo_strong_liar()
-        letters, report = instances.strong_liar_instance(m)
-        f = instances.tri_valued_matrix(m)
+        table, src = instances.demo_strong_liar()
+        letters, report = instances.strong_liar_instance(table)
         extras = {"twisted_diagonal": list(letters)}
     else:
-        m, src = instances.demo_richard()
-        digits, report = instances.richard_instance(m)
-        f = instances.digit_matrix(m)
-        extras = {"digits": list(digits), "described_reals": list(m.labels)}
-    payload, ok = _nonrep_payload(f, report, "diagonal")
+        table, src = instances.demo_richard()
+        digits, report = instances.richard_instance(table)
+        extras = {"digits": list(digits), "described_reals": list(table.labels)}
+    payload, ok = _nonrep_payload(table.matrix, report, "diagonal")
     payload.update(extras)
     return _bundled_inputs(src), payload, ok
 
@@ -223,6 +219,13 @@ def _cmd_quine(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return _args_inputs({"construction": "quine"}), payload, all(checks.values())
 
 
+def _fixed_point_fields(n0: int) -> dict:
+    """A fixed point's report fields: its digit count, its code and its program."""
+    from . import syntax, universe
+    program = universe.format_program(universe.decode(n0))
+    return {"n0_digits": len(syntax.NAT.name(n0)), "n0": n0, "n0_program": program}
+
+
 def _cmd_recursion(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     from . import universe
     h = universe.parse_program_or_code(args.transformer)
@@ -232,9 +235,7 @@ def _cmd_recursion(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     payload = {
         "kind": "recursion-fixed-point",
         "transformer": h,
-        "n0_digits": len(str(n0)),
-        "n0": n0,
-        "n0_program": universe.format_program(universe.decode(n0)),
+        **_fixed_point_fields(n0),
         "transformed_index": _outcome_json(transformed, RECURSION_FUEL),
         "samples": [
             {
@@ -280,9 +281,7 @@ def _cmd_rice(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         "decider": decider,
         "a": a,
         "b": b,
-        "n0_digits": len(str(report.n0)),
-        "n0": report.n0,
-        "n0_program": universe.format_program(universe.decode(report.n0)),
+        **_fixed_point_fields(report.n0),
         "decider_answer": _outcome_json(report.decider_answer, args.fuel),
         "switched_to": _outcome_json(report.switched_to, args.fuel),
         "samples": [

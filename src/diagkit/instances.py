@@ -1,10 +1,10 @@
 """Named finite instantiations of the diagonal construction.
 
-Each instance packages a concrete table (set membership, a describes
-relation, three-valued self-description, decimal digits) as an evaluation
-matrix, applies the appropriate fixed-point-free twist to its diagonal, and
-returns the twisted vector together with a certificate that it matches no
-column. Demo tables ship with the package as JSON data files.
+Each table (set membership, a describes relation, three-valued
+self-description, decimal digits) is checked once, when built, as the
+evaluation matrix it keeps as `table.matrix`. Each instance twists that
+matrix's diagonal by a fixed-point-free map and returns the twisted vector with
+a certificate that it matches no column. Demo tables ship as JSON data files.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     _freeze,
     cantor_witness,
 )
+from .errors import InputError
 
 BIT_CARRIER = Carrier(2)
 TRI_LEVELS = ("T", "M", "F")
@@ -35,6 +36,12 @@ strong_liar_twist = EndoMap(TRI_CARRIER, (2, 0, 0))
 digit_flip = EndoMap(DIGIT_CARRIER, tuple(9 - d for d in range(10)))
 
 
+def _keep_matrix(table, carrier: Carrier, y: Carrier, cell) -> None:
+    """Check a table as the square matrix `cell`, once, and keep it as `table.matrix`."""
+    # not a field: ==, hash, repr and fields() see the table's own; replace() checks anew
+    object.__setattr__(table, "matrix", EvalMatrix(carrier, carrier, y, cell))
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
     """A proposed enumeration S_0 .. S_{n-1} of subsets of {0, .., n-1}."""
@@ -43,13 +50,12 @@ class SubsetFamily:
 
     def __post_init__(self) -> None:
         _freeze(self, "subsets", rows=True)
-        # checked as the square bit table whose row m is S_m
-        carrier = Carrier(self.size)
-        EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=self.subsets)
-
-    @property
-    def size(self) -> int:
-        return len(self.subsets)
+        carrier = Carrier(len(self.subsets))
+        # lengths before the transpose: zip drops the extra entries of a longer row
+        if any(len(s) != carrier.size for s in self.subsets):
+            raise InputError("every subset must have one entry per element")
+        # rows are elements, columns are subsets: cell[n][m] = 1 iff n in S_m
+        _keep_matrix(self, carrier, BIT_CARRIER, tuple(zip(*self.subsets)))
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class DescribesMatrix:
     def __post_init__(self) -> None:
         _freeze(self, "labels")
         _freeze(self, "rel", rows=True)
-        describes_matrix(self)
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), BIT_CARRIER, self.rel)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,12 @@ class TriValuedMatrix:
     def __post_init__(self) -> None:
         _freeze(self, "labels")
         _freeze(self, "table", rows=True)
-        tri_valued_matrix(self)
+        # a letter other than T, M or F lands outside the value carrier
+        cell = tuple(
+            tuple(TRI_LEVELS.index(v) if v in TRI_LEVELS else -1 for v in row)
+            for row in self.table
+        )
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), TRI_CARRIER, cell)
 
 
 @dataclass(frozen=True)
@@ -92,34 +103,17 @@ class DigitMatrix:
     def __post_init__(self) -> None:
         _freeze(self, "labels")
         _freeze(self, "digits", rows=True)
-        digit_matrix(self)
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), DIGIT_CARRIER, self.digits)
 
 
-def membership_matrix(fam: SubsetFamily) -> EvalMatrix:
-    """Rows are elements, columns are subsets: cell[n][m] = 1 iff n in S_m."""
-    carrier = Carrier(fam.size)
-    cell = tuple(zip(*fam.subsets))
-    return EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=cell)
+def describes_matrix(
+    table: SubsetFamily | DescribesMatrix | TriValuedMatrix | DigitMatrix,
+) -> EvalMatrix:
+    """The `EvalMatrix` a table was checked as when it was built."""
+    return table.matrix
 
 
-def describes_matrix(m: DescribesMatrix) -> EvalMatrix:
-    carrier = Carrier(len(m.labels), m.labels)
-    return EvalMatrix(rows=carrier, cols=carrier, y=BIT_CARRIER, cell=m.rel)
-
-
-def tri_valued_matrix(m: TriValuedMatrix) -> EvalMatrix:
-    carrier = Carrier(len(m.labels), m.labels)
-    # a letter other than T, M or F lands outside the value carrier
-    cell = tuple(
-        tuple(TRI_LEVELS.index(v) if v in TRI_LEVELS else -1 for v in row)
-        for row in m.table
-    )
-    return EvalMatrix(rows=carrier, cols=carrier, y=TRI_CARRIER, cell=cell)
-
-
-def digit_matrix(m: DigitMatrix) -> EvalMatrix:
-    carrier = Carrier(len(m.labels), m.labels)
-    return EvalMatrix(rows=carrier, cols=carrier, y=DIGIT_CARRIER, cell=m.digits)
+membership_matrix = tri_valued_matrix = digit_matrix = describes_matrix
 
 
 def powerset_instance(
@@ -130,7 +124,7 @@ def powerset_instance(
     Returns G as a characteristic bit-vector plus the certificate; the
     witness row for column m is m itself.
     """
-    report = cantor_witness(membership_matrix(fam), negation)
+    report = cantor_witness(fam.matrix, negation)
     return report.g.values, report
 
 
@@ -142,7 +136,7 @@ def relation_instance(
     The vector is no column of the relation: nothing describes exactly the
     self-undescribers.
     """
-    report = cantor_witness(describes_matrix(m), negation)
+    report = cantor_witness(m.matrix, negation)
     return report.g.values, report
 
 
@@ -150,7 +144,7 @@ def strong_liar_instance(
     m: TriValuedMatrix,
 ) -> tuple[tuple[str, ...], NonRepresentabilityReport]:
     """Three-valued diagonal twist: T on the diagonal becomes F, M and F become T."""
-    report = cantor_witness(tri_valued_matrix(m), strong_liar_twist)
+    report = cantor_witness(m.matrix, strong_liar_twist)
     letters = tuple(TRI_LEVELS[v] for v in report.g.values)
     return letters, report
 
@@ -163,7 +157,7 @@ def richard_instance(
     The resulting digit sequence differs from every column at its diagonal
     place, so the real it spells is none of the described ones.
     """
-    report = cantor_witness(digit_matrix(m), digit_flip)
+    report = cantor_witness(m.matrix, digit_flip)
     return report.g.values, report
 
 

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from . import syntax
 from .errors import InputError, natural
-from .instances import DescribesMatrix
 from .syntax import pair, unpair
+
+if TYPE_CHECKING:
+    from .instances import DescribesMatrix
 
 Expr = Any  # a node of PROGRAMS
 
@@ -430,6 +432,7 @@ def bounded_halting_matrix(n: int, fuel: int) -> DescribesMatrix:
     never reads its argument (`reads_argument`) has the same outcome on
     every input, so its column is run once, on input 0, and repeated.
     """
+    from .instances import DescribesMatrix
     natural(n, "matrix size", least=1)
 
     def halts(j: int, i: int) -> int:

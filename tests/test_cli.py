@@ -402,6 +402,30 @@ def test_diagonal_not_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _huge_cell_file():
+    cells = json.dumps(GRELLING_FILE["f"]).replace("1", "1" * 2_000_001, 1)
+    return json.dumps(dict(GRELLING_FILE, f=None)).replace("null", cells).encode()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_huge_cell_file, lambda: b'{"y_labels": ["\xff"]}'],
+    ids=["huge-number", "not-utf-8"],
+)
+def test_matrix_file_json_cannot_read_exits_2(tmp_path, capsys, make):
+    # json.loads raises a plain ValueError for a number past the int-to-string
+    # digit limit (without that limit the cell lies outside the value carrier)
+    # and a UnicodeDecodeError for bytes that are no UTF-8
+    path = tmp_path / "bad.json"
+    path.write_bytes(make())
+    code = run_command(["diagonal", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_section_flag_without_section_fields(tmp_path, capsys):
     code = run_command(
         ["diagonal", "--input", write_matrix(tmp_path, GRELLING_FILE), "--section"]

@@ -1,13 +1,15 @@
 """Named instances: powerset, describes-relations, three-valued, digits."""
 
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from diagkit import instances as I
-from diagkit.core import fixed_points, verify_nonrepresentability
+from diagkit.cli import run_command
+from diagkit.core import Carrier, EvalMatrix, fixed_points, verify_nonrepresentability
 from diagkit.errors import InputError
 from diagkit.universe import bounded_halting_matrix
 
@@ -34,6 +36,9 @@ def test_powerset_single():
 def test_powerset_validation():
     with pytest.raises(InputError):
         I.SubsetFamily(((0, 1), (0,)))
+    # a row longer than the rest: zip alone would drop its extra entry
+    with pytest.raises(InputError):
+        I.SubsetFamily(((0, 0, 0), (0, 0)))
     with pytest.raises(InputError):
         I.SubsetFamily(((0, 2), (0, 0)))
     with pytest.raises(InputError):
@@ -60,6 +65,57 @@ def test_table_validation():
             I.DigitMatrix(("a", "b"), ((0, bad), (0, 0)))
         with pytest.raises(InputError):
             I.SubsetFamily(((0, 0), (bad, 0)))
+
+
+def test_each_table_builds_its_matrix_once(monkeypatch, capsys):
+    builds = []
+    check = EvalMatrix.__post_init__
+
+    def counted(f):
+        builds.append(f)
+        check(f)
+
+    monkeypatch.setattr(EvalMatrix, "__post_init__", counted)
+    bundled = [
+        ("powerset", I.demo_subset_family, I.powerset_instance, I.membership_matrix),
+        ("russell", I.demo_russell, I.relation_instance, I.describes_matrix),
+        ("grelling", I.demo_grelling, I.relation_instance, I.describes_matrix),
+        ("strong-liar", I.demo_strong_liar, I.strong_liar_instance, I.tri_valued_matrix),
+        ("richard", I.demo_richard, I.richard_instance, I.digit_matrix),
+    ]
+    for name, load, instance, convert in bundled:
+        builds.clear()
+        table, _ = load()
+        _, report = instance(table)
+        f = convert(table)
+        assert len(builds) == 1, name
+        assert builds[0] is f is table.matrix
+        assert verify_nonrepresentability(f, report)
+        builds.clear()
+        assert run_command(["demo", name]) == 0
+        assert len(builds) == 1, name
+    builds.clear()
+    assert run_command(["demo", "nonre"]) == 0
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_a_table_keeps_its_matrix_outside_its_fields():
+    m = I.DescribesMatrix(("a", "b"), ((0, 1), (1, 1)))
+    carrier = Carrier(2, ("a", "b"))
+    assert I.describes_matrix(m) is m.matrix
+    assert m.matrix == EvalMatrix(carrier, carrier, I.BIT_CARRIER, ((0, 1), (1, 1)))
+    rebuilt = I.DescribesMatrix(["a", "b"], [[0, 1], [1, 1]])
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert repr(m) == "DescribesMatrix(labels=('a', 'b'), rel=((0, 1), (1, 1)))"
+    assert [x.name for x in fields(m)] == ["labels", "rel"]
+    assert replace(m, rel=((1, 1), (1, 1))).matrix.cell == ((1, 1), (1, 1))
+    with pytest.raises(InputError):
+        replace(m, rel=((0, 2), (1, 1)))
+    # rows are elements, columns are subsets
+    fam = I.SubsetFamily(((0, 1), (0, 0)))
+    assert I.membership_matrix(fam).cell == ((0, 0), (1, 0))
+    assert [x.name for x in fields(fam)] == ["subsets"]
 
 
 def test_describes_matrix_rejects_rows_that_are_no_sequence():
