@@ -53,6 +53,8 @@ class Carrier:
             _freeze(self, "labels")
             if len(self.labels) != self.size:
                 raise InputError("label count must equal carrier size")
+            if not {str}.issuperset(map(type, self.labels)):
+                raise InputError("carrier labels must be strings")
             if len(set(self.labels)) != self.size:
                 raise InputError("carrier labels must be pairwise distinct")
 

@@ -1,10 +1,12 @@
 """Named finite instantiations of the diagonal construction.
 
-Each table (set membership, a describes relation, three-valued
-self-description, decimal digits) is checked once, when built, as the
-evaluation matrix it keeps as `table.matrix`. Each instance twists that
-matrix's diagonal by a fixed-point-free map and returns the twisted vector with
-a certificate that it matches no column. Demo tables ship as JSON data files.
+A table kind (set membership, a describes relation, three-valued
+self-description, decimal digits) is its rows plus its `twist`, a
+fixed-point-free map on its values. Each table is checked once, when built,
+as the evaluation matrix it keeps as `table.matrix`, whose value carrier is
+the twist's. One function, `relation_instance`, twists any table's diagonal
+and returns the twisted vector with a certificate that it matches no column.
+Demo tables ship as JSON data files.
 """
 
 from __future__ import annotations
@@ -25,21 +27,21 @@ from .errors import InputError
 
 BIT_CARRIER = Carrier(2)
 TRI_LEVELS = ("T", "M", "F")
-TRI_CARRIER = Carrier(3, TRI_LEVELS)
-DIGIT_CARRIER = Carrier(10)
 
+# each table kind's twist, a fixed-point-free map on its values:
 # 0 <-> 1 on bits
 negation = EndoMap(BIT_CARRIER, (1, 0))
 # true of itself becomes F; meaningless or false of itself becomes T
-strong_liar_twist = EndoMap(TRI_CARRIER, (2, 0, 0))
+strong_liar_twist = EndoMap(Carrier(3, TRI_LEVELS), (2, 0, 0))
 # digit d becomes 9 - d; no digit is its own image
-digit_flip = EndoMap(DIGIT_CARRIER, tuple(9 - d for d in range(10)))
+digit_flip = EndoMap(Carrier(10), tuple(9 - d for d in range(10)))
 
 
-def _keep_matrix(table, carrier: Carrier, y: Carrier, cell) -> None:
+def _keep_matrix(table, carrier: Carrier, cell) -> None:
     """Check a table as the square matrix `cell`, once, and keep it as `table.matrix`."""
-    # not a field: ==, hash, repr and fields() see the table's own; replace() checks anew
-    object.__setattr__(table, "matrix", EvalMatrix(carrier, carrier, y, cell))
+    # values lie in the twist's carrier; neither matrix nor the unannotated
+    # twist is a field: ==, hash, repr and fields() see the table's own; replace() checks anew
+    object.__setattr__(table, "matrix", EvalMatrix(carrier, carrier, table.twist.carrier, cell))
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ class SubsetFamily:
     """A proposed enumeration S_0 .. S_{n-1} of subsets of {0, .., n-1}."""
 
     subsets: tuple[tuple[int, ...], ...]
+    twist = negation
 
     def __post_init__(self) -> None:
         _freeze(self, "subsets", rows=True)
@@ -55,7 +58,7 @@ class SubsetFamily:
         if any(len(s) != carrier.size for s in self.subsets):
             raise InputError("every subset must have one entry per element")
         # rows are elements, columns are subsets: cell[n][m] = 1 iff n in S_m
-        _keep_matrix(self, carrier, BIT_CARRIER, tuple(zip(*self.subsets)))
+        _keep_matrix(self, carrier, tuple(zip(*self.subsets)))
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,12 @@ class DescribesMatrix:
 
     labels: tuple[str, ...]
     rel: tuple[tuple[int, ...], ...]
+    twist = negation
 
     def __post_init__(self) -> None:
         _freeze(self, "labels")
         _freeze(self, "rel", rows=True)
-        _keep_matrix(self, Carrier(len(self.labels), self.labels), BIT_CARRIER, self.rel)
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), self.rel)
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,7 @@ class TriValuedMatrix:
 
     labels: tuple[str, ...]
     table: tuple[tuple[str, ...], ...]
+    twist = strong_liar_twist
 
     def __post_init__(self) -> None:
         _freeze(self, "labels")
@@ -86,7 +91,7 @@ class TriValuedMatrix:
             tuple(TRI_LEVELS.index(v) if v in TRI_LEVELS else -1 for v in row)
             for row in self.table
         )
-        _keep_matrix(self, Carrier(len(self.labels), self.labels), TRI_CARRIER, cell)
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), cell)
 
 
 @dataclass(frozen=True)
@@ -99,11 +104,12 @@ class DigitMatrix:
 
     labels: tuple[str, ...]
     digits: tuple[tuple[int, ...], ...]
+    twist = digit_flip
 
     def __post_init__(self) -> None:
         _freeze(self, "labels")
         _freeze(self, "digits", rows=True)
-        _keep_matrix(self, Carrier(len(self.labels), self.labels), DIGIT_CARRIER, self.digits)
+        _keep_matrix(self, Carrier(len(self.labels), self.labels), self.digits)
 
 
 def describes_matrix(
@@ -116,49 +122,29 @@ def describes_matrix(
 membership_matrix = tri_valued_matrix = digit_matrix = describes_matrix
 
 
-def powerset_instance(
-    fam: SubsetFamily,
-) -> tuple[tuple[int, ...], NonRepresentabilityReport]:
-    """The set G = {i : i not in S_i}, absent from the family.
-
-    Returns G as a characteristic bit-vector plus the certificate; the
-    witness row for column m is m itself.
-    """
-    report = cantor_witness(fam.matrix, negation)
-    return report.g.values, report
-
-
 def relation_instance(
-    m: DescribesMatrix,
+    table: SubsetFamily | DescribesMatrix | TriValuedMatrix | DigitMatrix,
 ) -> tuple[tuple[int, ...], NonRepresentabilityReport]:
-    """Characteristic vector of the items that do not describe themselves.
+    """The table's diagonal, twisted by its kind's `twist`, with its certificate.
 
-    The vector is no column of the relation: nothing describes exactly the
-    self-undescribers.
+    The vector is no column, and the witness row for column m is m itself:
+    the set G = {i : i not in S_i} is absent from a subset family, nothing
+    describes exactly the self-undescribers, and the real whose place-i digit
+    is 9 minus the diagonal digit is none of the described ones.
     """
-    report = cantor_witness(m.matrix, negation)
+    report = cantor_witness(table.matrix, table.twist)
     return report.g.values, report
+
+
+powerset_instance = richard_instance = relation_instance
 
 
 def strong_liar_instance(
     m: TriValuedMatrix,
 ) -> tuple[tuple[str, ...], NonRepresentabilityReport]:
     """Three-valued diagonal twist: T on the diagonal becomes F, M and F become T."""
-    report = cantor_witness(m.matrix, strong_liar_twist)
-    letters = tuple(TRI_LEVELS[v] for v in report.g.values)
-    return letters, report
-
-
-def richard_instance(
-    m: DigitMatrix,
-) -> tuple[tuple[int, ...], NonRepresentabilityReport]:
-    """The real whose place-i digit is 9 minus the table's diagonal digit.
-
-    The resulting digit sequence differs from every column at its diagonal
-    place, so the real it spells is none of the described ones.
-    """
-    report = cantor_witness(m.matrix, digit_flip)
-    return report.g.values, report
+    values, report = relation_instance(m)
+    return tuple(TRI_LEVELS[v] for v in values), report
 
 
 def bundled(name: str) -> bytes:

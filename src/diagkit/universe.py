@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 from . import syntax
 from .errors import InputError, natural
@@ -139,7 +139,7 @@ def reads_argument(p: int) -> bool:
     return False
 
 
-def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
+def evaluate(p: int, args: Iterable[int], fuel: int) -> Outcome:
     """Run program p on args with a shared step budget.
 
     Big-step, deterministic, and monotone: a Value at fuel F is the same
@@ -152,12 +152,13 @@ def evaluate(p: int, args: Sequence[int], fuel: int) -> Outcome:
     # are checked here only: a nested run gets naturals made from naturals.
     natural(fuel, "fuel")
     natural(p, "program code")
-    for x in args:
+    # the tuple first: an iterator of arguments is read once
+    env = tuple(args)
+    for x in env:
         natural(x, "program argument")
     # todo walks the steps of the code being run; a frame (todo, env) is kept
     # for each run or ifz call not in tail position, to resume after it. The
     # last arm takes the class left over, Smn.
-    env = tuple(args)
     todo = iter(steps(p))
     frames: list = []
     vals: list[int] = []

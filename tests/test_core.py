@@ -45,6 +45,10 @@ def test_carrier_validation():
         Carrier(2, ("a",))
     with pytest.raises(InputError):
         Carrier(2, ("a", "a"))
+    # a list label does not hash, and a non-string one would print as itself
+    for labels in ([[0], [1]], ("a", 1), (b"a", "b")):
+        with pytest.raises(InputError, match="^carrier labels must be strings$"):
+            Carrier(2, labels)
     for size in (-1, 0, 2.5, 1.5, 2.0, True, None, "3", [1]):
         message = f"carrier size must be an int.*, got {re.escape(repr(size))}$"
         with pytest.raises(InputError, match=message):

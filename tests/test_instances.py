@@ -52,6 +52,8 @@ def test_table_validation():
         I.DescribesMatrix(("a", "a"), ((0, 0), (0, 0)))
     with pytest.raises(InputError):
         I.DescribesMatrix(("a", "b"), ((0, 1),))
+    with pytest.raises(InputError, match="^carrier labels must be strings$"):
+        I.DescribesMatrix([[0], [1]], ((0, 1), (1, 0)))
     with pytest.raises(InputError):
         I.TriValuedMatrix(("a",), (("Q",),))
     with pytest.raises(InputError):
@@ -272,16 +274,23 @@ def test_bundled_richard_diagonal_flips():
 
 
 def test_demo_tables_all_verify():
-    fam, _ = I.demo_subset_family()
-    _, report = I.powerset_instance(fam)
-    assert verify_nonrepresentability(I.membership_matrix(fam), report)
-    for loader in (I.demo_russell, I.demo_grelling):
-        m, _ = loader()
-        _, report = I.relation_instance(m)
-        assert verify_nonrepresentability(I.describes_matrix(m), report)
-    tri, _ = I.demo_strong_liar()
-    _, report = I.strong_liar_instance(tri)
-    assert verify_nonrepresentability(I.tri_valued_matrix(tri), report)
+    # each table kind carries its twist, and one function certifies every kind
+    assert I.powerset_instance is I.relation_instance is I.richard_instance
+    bundled = (
+        (I.demo_subset_family, I.powerset_instance, I.membership_matrix),
+        (I.demo_russell, I.relation_instance, I.describes_matrix),
+        (I.demo_grelling, I.relation_instance, I.describes_matrix),
+        (I.demo_strong_liar, I.strong_liar_instance, I.tri_valued_matrix),
+        (I.demo_richard, I.richard_instance, I.digit_matrix),
+    )
+    for load, instance, convert in bundled:
+        t, name = load()
+        twist = type(t).twist
+        assert fixed_points(twist) == set(), name
+        assert t.matrix.y is twist.carrier, name
+        assert "twist" not in {x.name for x in fields(t)}, name
+        _, report = instance(t)
+        assert verify_nonrepresentability(convert(t), report), name
 
 
 def test_halting_matrix_feeds_relation_instance():

@@ -90,6 +90,9 @@ def test_eval_const():
 
 def test_eval_projection():
     assert evaluate(10, [7], 10) == Value(7)
+    # arguments may come as an iterator, which the entry check must not use up
+    assert evaluate(10, iter([7]), 5) == Value(7)
+    assert evaluate(10, (x for x in [7]), 5) == Value(7)
 
 
 @pytest.mark.parametrize("fuel", [0, 1, 10, 1000, 100000])
