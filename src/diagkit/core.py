@@ -29,13 +29,16 @@ def _stray(values: Sequence, indices: frozenset) -> Optional[int]:
 def _freeze(obj, name: str, rows: bool = False) -> None:
     """Store field `name` of a frozen dataclass as a tuple, of tuples if `rows`.
 
-    A field that is no sequence (of sequences) raises InputError naming it.
+    A field that is no sequence (of sequences), or is one str, raises
+    InputError naming it: tuple() would split a str into its characters.
     """
     value = getattr(obj, name)
+    shape = "a sequence of sequences" if rows else "a sequence"
+    if isinstance(value, str):
+        raise InputError(f"{name} must be {shape}, not a str")
     try:
         value = tuple(map(tuple, value)) if rows else tuple(value)
     except TypeError:
-        shape = "a sequence of sequences" if rows else "a sequence"
         raise InputError(f"{name} must be {shape}") from None
     object.__setattr__(obj, name, value)
 

@@ -1,7 +1,8 @@
 """Minimal s-expression reader shared by the program and formula notations.
 
 Produces a tree of Atom / SList nodes that carry their character offset, so
-callers can report positions in their own error messages.
+callers can report positions in their own error messages. `words` gives
+the same tokens without offsets, for a reader that needs no positions.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _TOKEN = re.compile(r"[()]|[^()\s]+")
 def tokenize(text: str) -> list[tuple[str, int]]:
     # for str patterns, \s matches exactly the characters where str.isspace() holds
     return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+
+
+def words(text: str) -> list[str]:
+    """The tokens of `tokenize` without their offsets."""
+    return _TOKEN.findall(text)
 
 
 def parse(text: str) -> Node:

@@ -7,7 +7,9 @@ A row's position is its tag and the number of rows is the sort's radix.
 Numbering, printing and reading are derived from the rows, and so are
 `rewrite` and `children`, a structural map and a fold whose callers give
 only their special cases; the reader's messages come from the rows and the
-name. Every walker recurses one host frame per tree level.
+name. Well-formed text is read in one pass over its words; any other text
+is read again through the s-expression tree, so its message names an
+offset. Every walker recurses one host frame per tree level.
 
 A node's number is radix * payload + tag. The payload is the right-nested
 Cantor pairing of the field numbers, pair(a, pair(b, c)): a scalar field is
@@ -244,8 +246,60 @@ class Sort:
         raise InputError(f"unknown {self.name} operator {word!r} at offset {pos}")
 
     def parse(self, text: str) -> Any:
-        """Read the prefix notation of `format`; errors name an offset."""
+        """Read the prefix notation of `format`; errors name an offset.
+
+        Well-formed text is read in one pass over its words. Any other text,
+        and a `sym<k>` head, is read again through `read` and the
+        s-expression tree, whose messages name an offset.
+        """
+        words = sexpr.words(text)
+        # a RecursionError is neither: text nested too deeply stops here
+        try:
+            node, i = self._take(words, 0)
+            if i == len(words):
+                return node
+        except (LookupError, ValueError):
+            pass
         return self.read(sexpr.parse(text))
+
+    def _take(self, words: list[str], i: int) -> tuple[Any, int]:
+        """The node that starts at words[i] and the index after it.
+
+        It decides as `read` does, from the same rows and heads. It raises
+        `LookupError` or `ValueError` on any text that `read` refuses, and
+        on a `sym<k>` head, which it leaves to `read`.
+        """
+        word = words[i]
+        if word != "(":
+            if word != ")":
+                for cls, fields in self.rows:
+                    if cls._head is None:
+                        value = fields[0].code(word)
+                        if value is not None:
+                            return cls(value), i + 1
+            raise LookupError(word)
+        cls, values, fields, arity = self.heads[words[i + 1]]
+        i += 2
+        values = list(values)
+        for field in fields:
+            if field.__class__ is Sort:
+                value, i = field._take(words, i)
+            elif field.__class__ is Many:
+                # a `Many` is a table row's last field and takes the arguments left
+                value = []
+                for _ in range(arity + 1 - len(fields)):
+                    child, i = field.sort._take(words, i)
+                    value.append(child)
+            else:
+                word = words[i]
+                value = None if word == "(" or word == ")" else field.code(word)
+                if value is None:
+                    raise LookupError(word)
+                i += 1
+            values.append(value)
+        if words[i] != ")":
+            raise LookupError(words[i])
+        return cls(*values), i + 1
 
     def read(self, node: sexpr.Node) -> Any:
         """Build a node of this sort from an s-expression; errors name an offset."""

@@ -153,7 +153,10 @@ def evaluate(p: int, args: Iterable[int], fuel: int) -> Outcome:
     natural(fuel, "fuel")
     natural(p, "program code")
     # the tuple first: an iterator of arguments is read once
-    env = tuple(args)
+    try:
+        env = tuple(args)
+    except TypeError:
+        raise InputError(f"program arguments must be an iterable, got {args!r}") from None
     for x in env:
         natural(x, "program argument")
     # todo walks the steps of the code being run; a frame (todo, env) is kept

@@ -49,6 +49,9 @@ def test_carrier_validation():
     for labels in ([[0], [1]], ("a", 1), (b"a", "b")):
         with pytest.raises(InputError, match="^carrier labels must be strings$"):
             Carrier(2, labels)
+    # one string is no sequence of labels: tuple("ab") would label by character
+    with pytest.raises(InputError, match="^labels must be a sequence, not a str$"):
+        Carrier(2, "ab")
     for size in (-1, 0, 2.5, 1.5, 2.0, True, None, "3", [1]):
         message = f"carrier size must be an int.*, got {re.escape(repr(size))}$"
         with pytest.raises(InputError, match=message):

@@ -54,6 +54,8 @@ def test_table_validation():
         I.DescribesMatrix(("a", "b"), ((0, 1),))
     with pytest.raises(InputError, match="^carrier labels must be strings$"):
         I.DescribesMatrix([[0], [1]], ((0, 1), (1, 0)))
+    with pytest.raises(InputError, match="^labels must be a sequence, not a str$"):
+        I.DescribesMatrix("ab", ((0, 1), (1, 0)))
     with pytest.raises(InputError):
         I.TriValuedMatrix(("a",), (("Q",),))
     with pytest.raises(InputError):

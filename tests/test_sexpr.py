@@ -33,3 +33,4 @@ def test_tokenize_matches_reference_loop():
     long_text = "".join(f"({atom}{space}){space}{atom}" for space in SPACES for atom in atoms)
     for text in ["", " ", "()", ")(", "abc", " abc ", "(a(b)c)", SPACES, long_text]:
         assert sexpr.tokenize(text) == reference_tokenize(text)
+        assert sexpr.words(text) == [word for word, _ in reference_tokenize(text)]

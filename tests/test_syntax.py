@@ -2,11 +2,12 @@
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 
 from diagkit import formal as F
-from diagkit import syntax
+from diagkit import sexpr, syntax
 from diagkit import universe as U
 from diagkit.errors import InputError
 
@@ -212,3 +213,92 @@ def test_a_numeral_that_is_a_list_does_not_print():
 def test_a_sort_without_a_symbol_table_reads_no_sym():
     with pytest.raises(InputError, match="^unknown expression operator 'sym1' at offset 0$"):
         U.parse_program("(sym1 %1)")
+
+
+# a sort whose leaf and bound variable read any word as its length, brackets
+# included: the one-pass reader must not read a bracket where `read` sees none
+LAX = syntax.Sort("lax")
+LAX.declare(
+    ("Word", None, {"n": syntax.Scalar(str, len)}),
+    ("Two", "two", {"left": LAX, "right": LAX}),
+    ("Bind", "bind", {"var": syntax.Scalar(str, len), "body": LAX}),
+)
+
+# texts at the reader's edges; some read and some do not
+EDGE_TEXTS = [
+    "(ifz (run %1 %1) 1 (pred %1))",
+    "(smn 2208 (pair %1 (snd %2)))",
+    "(diag (neg x12))",
+    "(forall y (not (Prov y x)))",
+    "(and (R (diag x) 7) (exists z (P (neg z))))",
+    "(Prov x y)",
+    "(Prov x y z)",
+    "(T (diag x) )",
+    "(bind y (two x y))",
+    # brackets where a lax word would read them
+    "(bind ( x)",
+    "(bind ) x)",
+    "(two 1 ) )",
+    # a sym<k> head at and off its word's arity, and a numeral past int()'s digit limit
+    "(sym0 x y)",
+    "(sym3 0 1)",
+    "(not (sym12 (diag 0) x))",
+    "(succ " + "7" * 5000 + ")",
+    "(neg " + "7" * 5000 + ")",
+]
+
+# words a mutation inserts: brackets, heads of each sort, leaves and near-misses
+EXTRA_WORDS = ["(", ")", "(", ")", "succ", "pair", "diag", "not", "forall", "Prov", "P",
+               "two", "bind", "sym3", "%1", "%0", "7", "x", "y", "x1", "q", "²", "-1"]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _mutants(text, rng, count):
+    """Copies of text with one or two words deleted, inserted or swapped."""
+    for _ in range(count):
+        words = sexpr.words(text)
+        for _ in range(rng.randint(1, 2)):
+            roll = rng.randrange(3)
+            if roll == 0 and words:
+                del words[rng.randrange(len(words))]
+            elif roll == 1:
+                words.insert(rng.randrange(len(words) + 1), rng.choice(EXTRA_WORDS))
+            elif len(words) > 1:
+                k = rng.randrange(len(words) - 1)
+                words[k], words[k + 1] = words[k + 1], words[k]
+        yield " ".join(words)
+
+
+@pytest.mark.parametrize("sort", [U.PROGRAMS, F.TERMS, F.FORMULAS, LAX], ids=lambda s: s.name)
+def test_one_pass_reader_reads_the_language_of_the_tree_reader(sort):
+    # parse gives the node read gives from the s-expression tree, or its
+    # exception and message, on printed seeded nodes, edge texts and their mutants
+    rng = random.Random(sort.name)
+    texts = [sort.format(sort.denumber(rng.randrange(10**k))) for k in range(40) for _ in range(4)]
+    read = 0
+    for text, count in [(t, 8) for t in texts] + [(t, 40) for t in EDGE_TEXTS]:
+        for t in [text, *_mutants(text, rng, count)]:
+            got = _outcome(lambda: sort.parse(t))
+            assert got == _outcome(lambda: sort.read(sexpr.parse(t))), t
+            read += not isinstance(got, tuple)
+    assert read > 200
+
+
+def test_well_formed_text_is_read_without_the_tree(monkeypatch):
+    def no_tree(text):
+        raise AssertionError("sexpr.parse ran on well-formed text")
+
+    monkeypatch.setattr(sexpr, "parse", no_tree)
+    assert U.parse_program("(ifz (run %1 %1) 1 (pred %1))") == U.IfZero(
+        U.Run(U.Var(1), U.Var(1)), U.Const(1), U.Pred(U.Var(1))
+    )
+    prov = F.SYMBOLS["Prov"][0]
+    assert F.parse_formula("(forall y (not (Prov y x)))") == F.ForAll(
+        F.Y, F.Not(F.Pred(prov, (F.Var(F.Y), F.Var(F.X))))
+    )

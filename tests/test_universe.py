@@ -738,6 +738,14 @@ def test_evaluate_rejects_a_code_or_argument_that_is_no_natural(code, args, what
         evaluate(code, args, 10)
 
 
+@pytest.mark.parametrize("args", [5, None])
+def test_evaluate_rejects_arguments_that_are_no_iterable(args):
+    # a raw TypeError ("'int' object is not iterable") escaped before
+    message = f"^program arguments must be an iterable, got {args!r}$"
+    with pytest.raises(InputError, match=message):
+        evaluate(10, args, 5)
+
+
 def test_program_notation_roundtrip():
     rng = random.Random(3)
     for _ in range(100):
